@@ -28,7 +28,6 @@ from .linalg import (
     WindowTooSmall,
     finite_support_kernel,
     free_kernel_dim,
-    projection_dims,
     rank_and_nullspace,
 )
 from .operators import (
@@ -84,7 +83,6 @@ __all__ = [
     "free_kernel_dim",
     "is_global_solution_finite",
     "lacunarity_witness",
-    "projection_dims",
     "rank_and_nullspace",
     "residual",
     "residue_certificate",

@@ -64,6 +64,12 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
+def _bool(value: Any, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _window_to_json(w: Window) -> list[int]:
     return [w.lo, w.hi]
 
@@ -136,7 +142,7 @@ def sequence_from_json(data: Any) -> SequenceSpec:
             scale=_int(data["scale"], "scale"),
             shift=_int(data.get("shift", 0), "shift"),
             value=parse_rational(data.get("value", "1/1")),
-            allow_negative_m=bool(data.get("allow_negative_m", False)),
+            allow_negative_m=_bool(data.get("allow_negative_m", False), "allow_negative_m"),
         )
     raise ValueError(f"unknown sequence kind: {kind!r}")
 

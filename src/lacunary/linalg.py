@@ -1,26 +1,35 @@
 """Exact rational rank and nullspace computation, and the kernels built on it.
 
-Elimination is fraction-free: rows are first scaled to integers, pivoting
-is deterministic (leftmost column, first nonzero row), updates use integer
-cross-multiplication, and each updated row is divided by its content to
-control coefficient growth.  Row scaling never changes rank or nullspace,
-so the echelon form supports exact back-substitution over Fractions.
+A system is a list of band rows: (first column, entries), each equation
+touching only the consecutive unknowns its entries cover.  Window systems
+are built that way (`window_matrix`); a dense matrix is the special case
+of rows that all start at column 0.  There is one elimination routine:
 
-The banded path tracks each row's nonzero span so elimination work stays
-proportional to the band; the dense path runs the same pivot sequence
-without spans and must produce identical output.
+- Each row is scaled to integers and trimmed to its nonzero span.
+- Forward elimination is fraction-free, in the band-LU manner: after the
+  columns left of c are eliminated, the rows with a nonzero in column c
+  are exactly those that start there.  The shortest of them is the pivot;
+  every other one is cross-multiplied against it, divided by its content
+  (the Bareiss-style growth control) and re-filed under its new first
+  column.  Row scaling never changes rank or nullspace.
+- Back-substitution over Fractions reads only each pivot row's span and
+  skips the pivot rows right of the free column, which are zero there.
+
+The nullspace basis is canonical (one vector per free column, integral,
+content 1, positive leading entry), so it does not depend on pivot
+choices, and every vector is asserted to satisfy M v = 0 exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .operators import (
-    MODE_FREE_BOUNDARY,
-    MODE_SUPPORT_CONFINED,
+    BandRow,
     FiniteSolution,
     OperatorSpec,
     is_global_solution_finite,
@@ -35,7 +44,6 @@ __all__ = [
     "WindowTooSmall",
     "finite_support_kernel",
     "free_kernel_dim",
-    "projection_dims",
     "rank_and_nullspace",
 ]
 
@@ -54,73 +62,6 @@ class WindowTooSmall(Exception):
 Matrix = Sequence[Sequence[Fraction]]
 
 
-def _integer_rows(matrix: Matrix) -> list[list[int]]:
-    rows = []
-    for row in matrix:
-        fracs = [Fraction(v) for v in row]
-        scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows.append([int(f * scale) for f in fracs])
-    return rows
-
-
-def _reduce_content(row: list[int], lo: int, hi: int) -> None:
-    g = 0
-    for c in range(lo, hi):
-        g = math.gcd(g, row[c])
-        if g == 1:
-            return
-    if g > 1:
-        for c in range(lo, hi):
-            row[c] //= g
-
-
-def _echelon(rows: list[list[int]], banded: bool) -> tuple[list[int], list[list[int]]]:
-    """In-place forward elimination; returns (pivot columns, echelon rows)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if banded:
-        spans = []
-        for row in rows:
-            nz = [c for c, v in enumerate(row) if v != 0]
-            spans.append((nz[0], nz[-1] + 1) if nz else (0, 0))
-    pivot_cols: list[int] = []
-    top = 0
-    for col in range(ncols):
-        pivot = next(
-            (i for i in range(top, nrows) if rows[i][col] != 0),
-            None,
-        )
-        if pivot is None:
-            continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        if banded:
-            spans[top], spans[pivot] = spans[pivot], spans[top]
-            p_lo, p_hi = spans[top]
-        p = rows[top][col]
-        prow = rows[top]
-        for i in range(top + 1, nrows):
-            f = rows[i][col]
-            if f == 0:
-                continue
-            row = rows[i]
-            if banded:
-                lo = min(spans[i][0], p_lo)
-                hi = max(spans[i][1], p_hi)
-            else:
-                lo, hi = 0, ncols
-            for c in range(lo, hi):
-                row[c] = p * row[c] - f * prow[c]
-            _reduce_content(row, lo, hi)
-            if banded:
-                nz = [c for c in range(lo, hi) if row[c] != 0]
-                spans[i] = (nz[0], nz[-1] + 1) if nz else (0, 0)
-        pivot_cols.append(col)
-        top += 1
-        if top == nrows:
-            break
-    return pivot_cols, rows
-
-
 def _normalize(vector: list[Fraction]) -> tuple[Fraction, ...]:
     # Integer entries, content 1, first nonzero entry positive.
     scale = math.lcm(*(v.denominator for v in vector))
@@ -134,9 +75,67 @@ def _normalize(vector: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
-def rank_and_nullspace(
-    matrix: Matrix, mode: str = "banded"
+def _nullspace(
+    rows: Sequence[BandRow], ncols: int
 ) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Exact rank and canonical nullspace basis of a band-row system."""
+    # by_start[c]: integer rows whose first nonzero lies in column c
+    by_start: list[list[list[int]]] = [[] for _ in range(ncols)]
+    for first, entries in rows:
+        fracs = [Fraction(v) for v in entries]
+        nz = [j for j, f in enumerate(fracs) if f]
+        if not nz:
+            continue
+        fracs = fracs[nz[0] : nz[-1] + 1]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        by_start[first + nz[0]].append([int(f * scale) for f in fracs])
+
+    pivots: dict[int, list[int]] = {}
+    for col, group in enumerate(by_start):
+        if not group:
+            continue
+        prow = min(group, key=len)
+        p = prow[0]
+        for row in group:
+            if row is prow:
+                continue
+            # len(row) >= len(prow), so the update spans row's columns
+            f = row[0]
+            new = [p * a - f * b for a, b in zip(row[1:], prow[1:])]
+            new += [p * a for a in row[len(prow) :]]
+            nz = [j for j, v in enumerate(new) if v]
+            if not nz:
+                continue
+            new = new[nz[0] : nz[-1] + 1]
+            g = math.gcd(*new)
+            if g > 1:
+                new = [v // g for v in new]
+            by_start[col + 1 + nz[0]].append(new)
+        pivots[col] = prow
+    pivot_cols = list(pivots)
+
+    basis: list[tuple[Fraction, ...]] = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for c in reversed(pivot_cols[: bisect.bisect(pivot_cols, free)]):
+            row = pivots[c]
+            s = sum(a * v[c + j] for j, a in enumerate(row) if j and v[c + j])
+            if s:
+                v[c] = -s / row[0]
+        basis.append(_normalize(v))
+
+    for v in basis:
+        for first, entries in rows:
+            span = v[first : first + len(entries)]
+            acc = sum(a * b for a, b in zip(entries, span) if a and b)
+            assert acc == 0, "nullspace vector fails exact M v = 0 check"
+    rank = len(pivots)
+    assert rank + len(basis) == ncols
+    return rank, basis
+
+
+def rank_and_nullspace(matrix: Matrix) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Exact rank and a canonical nullspace basis of a rational matrix.
 
     Basis vectors are integral with content 1 and positive leading entry,
@@ -144,41 +143,10 @@ def rank_and_nullspace(
     byte-identical serialized certificates.  Each returned vector is
     asserted to satisfy M v = 0 exactly.
     """
-    if mode not in ("banded", "dense"):
-        raise ValueError(f"unknown elimination mode: {mode!r}")
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    ncols = len(matrix[0]) if matrix else 0
     if any(len(row) != ncols for row in matrix):
         raise ValueError("ragged matrix")
-    if ncols == 0:
-        return 0, []
-
-    rows = _integer_rows(matrix)
-    pivot_cols, echelon = _echelon(rows, banded=(mode == "banded"))
-    rank = len(pivot_cols)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-
-    basis: list[tuple[Fraction, ...]] = []
-    for free in free_cols:
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i in reversed(range(rank)):
-            c = pivot_cols[i]
-            row = echelon[i]
-            s = sum((Fraction(row[j]) * v[j] for j in range(c + 1, ncols) if row[j]), Fraction(0))
-            v[c] = -s / row[c]
-        basis.append(_normalize(v))
-
-    for v in basis:
-        for row in matrix:
-            acc = Fraction(0)
-            for a, b in zip(row, v):
-                if a and b:
-                    acc += Fraction(a) * b
-            assert acc == 0, "nullspace vector fails exact M v = 0 check"
-    assert rank + len(basis) == ncols
-    return rank, basis
+    return _nullspace([(0, row) for row in matrix], ncols)
 
 
 @dataclass(frozen=True)
@@ -213,8 +181,7 @@ def finite_support_kernel(op: OperatorSpec, w: Window) -> KernelBasis:
     residual check before being returned; a failure aborts the computation
     rather than returning an unsound certificate.
     """
-    m = window_matrix(op, w, MODE_SUPPORT_CONFINED)
-    _, basis = rank_and_nullspace(m.rows)
+    _, basis = _nullspace(window_matrix(op, w), w.size)
     kb = KernelBasis(w, tuple(basis))
     for fs in kb.solutions():
         if not is_global_solution_finite(op, fs):
@@ -230,36 +197,7 @@ def free_kernel_dim(op: OperatorSpec, w: Window) -> int:
         raise WindowTooSmall(
             f"window [{w.lo}, {w.hi}] is shorter than operator order {op.order}"
         )
-    m = window_matrix(op, w, MODE_FREE_BOUNDARY)
-    if not m.rows:
-        return m.ncols
-    rank, _ = rank_and_nullspace(m.rows)
-    return m.ncols - rank
-
-
-def projection_dims(
-    op: OperatorSpec, ray_start: int, i_max: int, budget_len: int
-) -> list[int]:
-    """Budgeted dimensions of leading-coordinate projections.
-
-    For each i in [1, i_max]: the dimension of the projection onto the
-    coordinates [ray_start, ray_start + i - 1] of the space of global
-    solutions supported in [ray_start, ray_start + budget_len - 1].  These
-    are upper approximations that are non-increasing in the budget; no
-    stabilization is claimed.
-    """
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1")
-    if budget_len < i_max:
-        raise ValueError("budget length must be at least i_max")
-    w = Window(ray_start, ray_start + budget_len - 1)
-    kb = finite_support_kernel(op, w)
-    dims = []
-    for i in range(1, i_max + 1):
-        truncated = [v[:i] for v in kb.vectors]
-        if not truncated:
-            dims.append(0)
-            continue
-        rank, _ = rank_and_nullspace(truncated)
-        dims.append(rank)
-    return dims
+    # the unclipped rows are the equations n in [w.lo, w.hi - r]
+    full = [row for row in window_matrix(op, w) if len(row[1]) == op.order + 1]
+    rank, _ = _nullspace(full, w.size)
+    return w.size - rank

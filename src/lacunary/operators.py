@@ -8,8 +8,10 @@ where each coefficient a_k is itself a finitely described sequence.  The
 leading and trailing coefficients may vanish at individual points; nothing
 here assumes them invertible.  This module evaluates residuals, verifies
 finite-support global solutions by a complete finite check, builds the
-finite linear systems that a window of unknowns must satisfy, and issues
-residue-class disjointness certificates.
+linear system that a window of unknowns must satisfy as band rows (each
+equation touches at most r + 1 consecutive unknowns, so it is stored as
+its first column and those entries), and issues residue-class
+disjointness certificates.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ from .sequences import (
 
 __all__ = [
     "FiniteSolution",
-    "MODE_FREE_BOUNDARY",
-    "MODE_SUPPORT_CONFINED",
     "MaskViolation",
     "OperatorSpec",
     "ResidueCertificate",
     "ResidueMask",
-    "WindowMatrix",
     "is_global_solution_finite",
     "residual",
     "residue_certificate",
@@ -154,58 +153,29 @@ def is_global_solution_finite(op: OperatorSpec, x: FiniteSolution) -> bool:
     )
 
 
-MODE_SUPPORT_CONFINED = "support_confined"
-MODE_FREE_BOUNDARY = "free_boundary"
+BandRow = tuple[int, Sequence[Fraction]]
 
 
-@dataclass(frozen=True)
-class WindowMatrix:
-    """Linear system satisfied by the unknowns x(w.lo) .. x(w.hi).
+def window_matrix(op: OperatorSpec, w: Window) -> list[BandRow]:
+    """Support-confined linear system on the unknowns x(w.lo) .. x(w.hi).
 
-    Row for equation index n has entry eval(a_{m-n}, n) in the column of
-    x(m) when 0 <= m - n <= r, zero otherwise, so the matrix is banded
-    with bandwidth r + 1.
-    """
-
-    window: Window
-    mode: str
-    row_indices: tuple[int, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def ncols(self) -> int:
-        return self.window.size
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def window_matrix(op: OperatorSpec, w: Window, mode: str) -> WindowMatrix:
-    """Finite linearization of the equation on a window of unknowns.
-
-    SupportConfined takes every equation index n in [w.lo - r, w.hi] and
-    treats x outside the window as zero; nullspace vectors are then genuine
-    global solutions supported inside w.  FreeBoundary keeps only the
-    equations n in [w.lo, w.hi - r] whose terms all fall inside the window,
-    assuming nothing about x elsewhere.
+    One band row per equation index n in [w.lo - r, w.hi], with x outside
+    the window taken as zero: the pair (first column, entries) where entry
+    j is eval(a_{m-n}, n) for the unknown x(m) in column first + j.  Only
+    the terms that fall inside the window are kept, so a row has at most
+    r + 1 entries, and nullspace vectors are genuine global solutions
+    supported inside w.  The rows of the n in [w.lo, w.hi - r] are the
+    unclipped ones, with all r + 1 entries: they alone form the
+    free-boundary system, which assumes nothing about x elsewhere.
     """
     r = op.order
-    if mode == MODE_SUPPORT_CONFINED:
-        n_indices = range(w.lo - r, w.hi + 1)
-    elif mode == MODE_FREE_BOUNDARY:
-        n_indices = range(w.lo, w.hi - r + 1)
-    else:
-        raise ValueError(f"unknown window matrix mode: {mode!r}")
     rows = []
-    for n in n_indices:
-        row = [ZERO] * w.size
-        for k in range(r + 1):
-            m = n + k
-            if w.lo <= m <= w.hi:
-                row[m - w.lo] = op.coeffs[k].value_at(n)
-        rows.append(tuple(row))
-    return WindowMatrix(w, mode, tuple(n_indices), tuple(rows))
+    for n in range(w.lo - r, w.hi + 1):
+        k_lo = max(0, w.lo - n)
+        k_hi = min(r, w.hi - n)
+        entries = tuple(op.coeffs[k].value_at(n) for k in range(k_lo, k_hi + 1))
+        rows.append((n + k_lo - w.lo, entries))
+    return rows
 
 
 class MaskViolation(Exception):

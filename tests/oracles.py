@@ -84,6 +84,17 @@ def support_confined_nullity(op, lo, hi):
     return hi - lo + 1 - rank
 
 
+def densify(band_rows, ncols):
+    """Dense rows of a system given as (first column, entries) band rows."""
+    dense = []
+    for first, entries in band_rows:
+        row = [Fraction(0)] * ncols
+        for j, value in enumerate(entries):
+            row[first + j] = Fraction(value)
+        dense.append(row)
+    return dense
+
+
 def matrix_times_vector(matrix, vector):
     return [sum((Fraction(a) * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix]
 

@@ -34,7 +34,13 @@ from lacunary.corpus import (
 )
 from lacunary.jsonio import dumps_canonical, object_from_json, object_to_json, operator_to_json
 
-from .oracles import matrix_times_vector, naive_rank_nullspace, support_confined_nullity
+from .oracles import (
+    densify,
+    matrix_times_vector,
+    naive_rank_nullspace,
+    support_confined_nullity,
+    support_confined_system,
+)
 
 
 def report(number, ok, description):
@@ -162,25 +168,29 @@ def test_acceptance_6_oracle_equivalence_suite():
         lo = -20 + (seed * 7) % 15
         length = 10 + (seed * 13) % 31  # lengths 10..40
         base = Window(lo, lo + length)
-        matrix = window_matrix(op, base, "support_confined")
-        rank, vectors = rank_and_nullspace(matrix.rows)
-        oracle_rank, oracle_vectors = naive_rank_nullspace(matrix.rows)
+        matrix = support_confined_system(op, base.lo, base.hi)
+        ok = ok and densify(window_matrix(op, base), base.size) == matrix
+        rank, vectors = rank_and_nullspace(matrix)
+        oracle_rank, oracle_vectors = naive_rank_nullspace(matrix)
         ok = ok and rank == oracle_rank and len(vectors) == len(oracle_vectors)
-        for v in vectors:
-            ok = ok and all(
-                e == 0 for e in matrix_times_vector(matrix.rows, v)
-            )
-        dims = [
-            finite_support_kernel(op, Window(base.lo - pad, base.hi + pad)).dimension
+        kernels = [
+            finite_support_kernel(op, Window(base.lo - pad, base.hi + pad))
             for pad in (0, 5, 10)
         ]
+        # the band path and the dense adapter give the same canonical basis
+        ok = ok and kernels[0].vectors == tuple(vectors)
+        for v in kernels[0].vectors:
+            ok = ok and all(
+                e == 0 for e in matrix_times_vector(matrix, v)
+            )
+        dims = [kb.dimension for kb in kernels]
         ok = ok and dims[0] <= dims[1] <= dims[2]
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     report(
         6, ok,
-        "100 seeded random operators: rank/nullity match the naive oracle, "
-        f"M*v = 0 exactly, kernel growth is monotone ({elapsed:.3f}s)",
+        "100 seeded random operators: window systems and rank/nullity match the "
+        f"naive oracle, M*v = 0 exactly, kernel growth is monotone ({elapsed:.3f}s)",
     )
 
 

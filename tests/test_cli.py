@@ -264,3 +264,18 @@ def test_missing_and_malformed_files(capsys, tmp_path, vanish_r2):
     code, out, err = run(capsys, "kernel", "--operator", str(mangled), "--window", "0:4")
     assert code == 1
     assert "mangled.json" in err
+
+
+def test_non_bool_flag_exit_1(capsys, tmp_path, vanish_r2):
+    seq = tmp_path / "seq_string_flag.json"
+    seq.write_text(json.dumps(
+        {"kind": "geometric_support", "scale": 3, "allow_negative_m": "false"}
+    ))
+    code, out, err = run(
+        capsys, "check", "--operator", vanish_r2, "--sequence", str(seq),
+        "--window", "0:20",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "allow_negative_m" in err
+    assert err.count("\n") == 1

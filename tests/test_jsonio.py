@@ -89,6 +89,18 @@ def test_sequence_json_defaults():
         sequence_from_json(["finite_table"])
 
 
+def test_sequence_json_rejects_non_bool_flag():
+    for flag in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match="allow_negative_m"):
+            sequence_from_json(
+                {"kind": "geometric_support", "scale": 2, "allow_negative_m": flag}
+            )
+    geo = sequence_from_json(
+        {"kind": "geometric_support", "scale": 2, "allow_negative_m": True}
+    )
+    assert geo.allow_negative_m
+
+
 @settings(max_examples=60, deadline=None)
 @given(sequence_specs)
 def test_sequence_round_trip_property(spec):

@@ -27,6 +27,7 @@ from lacunary.corpus import (
     zero_operator,
 )
 
+from .oracles import densify
 from .strategies import periodic_operators, residue_operators, small_fractions
 
 
@@ -90,40 +91,45 @@ def test_vector_to_finite_solution():
 
 def test_window_matrix_fibonacci_frozen():
     fib = fibonacci_operator()
-    confined = window_matrix(fib, Window(0, 2), "support_confined")
-    assert confined.row_indices == (-2, -1, 0, 1, 2)
-    assert [tuple(int(v) for v in row) for row in confined.rows] == [
-        (1, 0, 0),
-        (-1, 1, 0),
-        (-1, -1, 1),
-        (0, -1, -1),
-        (0, 0, -1),
+    rows = window_matrix(fib, Window(0, 2))
+    # equation indices n = -2 .. 2, as (first column, entries)
+    assert [(first, tuple(int(v) for v in entries)) for first, entries in rows] == [
+        (0, (1,)),
+        (0, (-1, 1)),
+        (0, (-1, -1, 1)),
+        (1, (-1, -1)),
+        (2, (-1,)),
     ]
-    free = window_matrix(fib, Window(0, 2), "free_boundary")
-    assert free.row_indices == (0,)
-    assert [tuple(int(v) for v in row) for row in free.rows] == [(-1, -1, 1)]
+    # the one unclipped row (n = 0) is the free-boundary system
+    assert [row for row in rows if len(row[1]) == fib.order + 1] == [(0, (-1, -1, 1))]
 
 
 def test_window_matrix_order_zero_identity():
     op = OperatorSpec((Periodic.constant(1),))
-    m = window_matrix(op, Window(0, 1), "support_confined")
-    assert [tuple(int(v) for v in row) for row in m.rows] == [(1, 0), (0, 1)]
-    with pytest.raises(ValueError):
-        window_matrix(op, Window(0, 1), "sideways")
+    rows = window_matrix(op, Window(0, 1))
+    assert [(first, tuple(int(v) for v in entries)) for first, entries in rows] == [
+        (0, (1,)),
+        (1, (1,)),
+    ]
 
 
 @given(residue_operators, st.integers(min_value=-8, max_value=8), st.integers(min_value=2, max_value=10))
 def test_window_matrix_band_structure(op, lo, length):
     w = Window(lo, lo + length)
-    for mode in ("support_confined", "free_boundary"):
-        m = window_matrix(op, w, mode)
-        for n, row in zip(m.row_indices, m.rows):
-            for col, value in enumerate(row):
-                shift = (col + w.lo) - n
-                if not (0 <= shift <= op.order):
-                    assert value == 0
-                else:
-                    assert value == op.coeffs[shift].value_at(n)
+    r = op.order
+    rows = window_matrix(op, w)
+    assert len(rows) == w.size + r
+    dense = densify(rows, w.size)
+    for n, (first, entries), row in zip(range(w.lo - r, w.hi + 1), rows, dense):
+        # the entries cover exactly the terms of equation n inside the window
+        assert first == max(n, w.lo) - w.lo
+        assert len(entries) == min(n + r, w.hi) - max(n, w.lo) + 1
+        for col, value in enumerate(row):
+            shift = (col + w.lo) - n
+            if not (0 <= shift <= r):
+                assert value == 0
+            else:
+                assert value == op.coeffs[shift].value_at(n)
 
 
 @given(periodic_operators, st.data())
@@ -134,10 +140,10 @@ def test_is_global_matches_support_confined_nullspace(op, data):
     if x is None:
         return
     w = Window(x.min_support, x.max_support)
-    m = window_matrix(op, w, "support_confined")
+    matrix = densify(window_matrix(op, w), w.size)
     vec = [x.value_at(n) for n in w.indices()]
     in_nullspace = all(
-        sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0 for row in m.rows
+        sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0 for row in matrix
     )
     assert is_global_solution_finite(op, x) == in_nullspace
 
