@@ -22,7 +22,8 @@ print("kernel dimension on [0, 12]:", kb.dimension)
 for sol in kb.solutions():
     print("  solution supported on", sorted(sol.support_set()))
 
-# certify_dimension searches growing symmetric windows until it can hand
+# certify_dimension sweeps [-budget, budget] left to right, keeping each
+# block whose support misses the ones already taken, until it can hand
 # back k solutions with pairwise disjoint supports.  The certificate is a
 # self-contained object; verification recomputes every residual.
 cert = certify_dimension(op, k=50, budget=100)

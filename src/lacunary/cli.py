@@ -29,6 +29,7 @@ from .engine import (
     windowed_residual_check,
 )
 from .jsonio import (
+    _list,
     dumps_canonical,
     finite_solution_from_json,
     finite_solution_to_json,
@@ -121,7 +122,7 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     if isinstance(outcome, Inconclusive):
         text = [f"inconclusive: {outcome.reason}"]
         if outcome.best_kernel_dim is not None:
-            text.append(f"  largest kernel dimension found: {outcome.best_kernel_dim}")
+            text.append(f"  disjoint solutions found: {outcome.best_kernel_dim}")
         return EXIT_INCONCLUSIVE, inconclusive_to_json(outcome), text
     w = outcome.window
     text = [
@@ -168,7 +169,7 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
 
 
 def _verify_split_result(op, data: dict) -> bool:
-    pieces = [finite_solution_from_json(p) for p in data.get("pieces", [])]
+    pieces = _list(data.get("pieces", []), "pieces", finite_solution_from_json)
     used: set[int] = set()
     for p in pieces:
         supp = p.support_set()

@@ -10,6 +10,10 @@ Three procedures, all exact and all budget-bounded:
 * :func:`build_lacunary` assembles a solution with ever-growing support
   gaps out of finite-support blocks, the reverse route.
 
+Certify and build share one verified block search on doubling windows
+along a ray: build places its earliest-ending blocks at growing gaps,
+certify sweeps blocks left to right and keeps those with disjoint supports.
+
 Each can also return :class:`Inconclusive`: the budget ran out without a
 witness.  That is never a claim that the solution space is
 finite-dimensional; these are semi-algorithms by nature.
@@ -66,7 +70,10 @@ class NotASolutionOnWindow(Exception):
 
 @dataclass(frozen=True)
 class Inconclusive:
-    """Budget exhausted without a witness; not a negative answer."""
+    """Budget exhausted without a witness; not a negative answer.
+
+    best_kernel_dim: the disjoint solutions certify found (a bound dim >= it).
+    """
 
     reason: str
     best_kernel_dim: Optional[int] = None
@@ -175,45 +182,37 @@ def windowed_residual_check(op: OperatorSpec, x: SequenceSpec, w: Window) -> Non
 def certify_dimension(
     op: OperatorSpec, k: int, budget: int
 ) -> Union[DimensionCertificate, Inconclusive]:
-    """Search growing symmetric windows for k disjoint-support solutions.
+    """Sweep [-budget, budget] left to right for k disjoint-support solutions.
 
-    Window half-widths run r+1, 2(r+1), 4(r+1), ... up to the budget.  On
-    each window the finite-support kernel basis is scanned leftmost-first
-    and vectors whose supports overlap anything already taken are skipped;
-    greedy disjoint extraction is enough because disjointness is only
-    needed for linear independence.  A returned certificate is
-    unconditionally sound: dim >= k.
+    From each edge, starting at -budget, the widened block search's
+    solutions are taken earliest-starting first, each iff its support
+    misses every support taken so far; the sweep resumes one past the
+    earliest start, so interleaved solutions are still found.  Disjoint
+    supports make the solutions independent, so the certificate (window:
+    the hull of the supports) is unconditionally sound: dim >= k.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if budget < 1:
         raise ValueError("budget must be positive")
-    best_dim = 0
-    half = op.order + 1
-    while half <= budget:
-        w = Window(-half, half)
-        kb = finite_support_kernel(op, w)
-        best_dim = max(best_dim, kb.dimension)
-        if kb.dimension >= k:
-            candidates = sorted(
-                kb.solutions(),
-                key=lambda s: (s.min_support, s.max_support, s.values),
+    taken: list[FiniteSolution] = []
+    used: set[int] = set()
+    edge = -budget
+    while len(taken) < k:
+        candidates = _first_blocks(op, RAY_POSITIVE, edge, budget, widen=True)
+        if not candidates:
+            return Inconclusive(
+                reason=f"no {k} disjoint solutions within budget {budget}",
+                best_kernel_dim=len(taken),
             )
-            taken: list[FiniteSolution] = []
-            used: set[int] = set()
-            for s in candidates:
-                supp = s.support_set()
-                if used & supp:
-                    continue
+        for s in sorted(candidates, key=lambda s: (s.min_support, s.max_support, s.values)):
+            supp = s.support_set()
+            if len(taken) < k and not used & supp:
                 taken.append(s)
                 used |= supp
-                if len(taken) == k:
-                    return DimensionCertificate(k, w, tuple(taken))
-        half *= 2
-    return Inconclusive(
-        reason=f"no {k} disjoint solutions within budget {budget}",
-        best_kernel_dim=best_dim,
-    )
+        edge = min(s.min_support for s in candidates) + 1
+    hull = Window(min(s.min_support for s in taken), max(s.max_support for s in taken))
+    return DimensionCertificate(k, hull, tuple(taken))
 
 
 def split_lacunary(
@@ -268,28 +267,31 @@ def split_lacunary(
     return pieces
 
 
-def _pick_block(
-    solutions: tuple[FiniteSolution, ...], ray: str
-) -> FiniteSolution:
-    # Deterministic choice: the block that ends earliest along the ray,
-    # keeping later windows as close as the gap schedule allows.
-    if ray == RAY_POSITIVE:
-        return min(solutions, key=lambda s: (s.max_support, s.min_support, s.values))
-    return min(solutions, key=lambda s: (-s.min_support, -s.max_support, s.values))
+def _first_blocks(
+    op: OperatorSpec, ray: str, edge: int, budget: int, widen: bool = False
+) -> tuple[FiniteSolution, ...]:
+    """The verified solutions of the first window from edge that holds one.
 
-
-def _grow_block_windows(ray: str, edge: int, width_base: int, budget: int):
-    # Doubling windows anchored at `edge`, clipped to [-budget, budget].
-    width = width_base
+    Windows anchored at edge double along the ray from width r + 1, clipped
+    to [-budget, budget]; empty if a clipped window holds no solution or
+    |edge| > budget.  On the positive ray the earliest-ending basis vector
+    is the earliest-ending solution overall: the vector of free column f
+    ends at f, any solution ends at its last free column with a nonzero
+    coefficient, and smaller windows held none.  widen returns the window
+    one doubling further, so solutions straddling that one are in it too.
+    """
+    if abs(edge) > budget:
+        return ()
+    width = op.order + 1
     while True:
         if ray == RAY_POSITIVE:
             lo, hi = edge, min(edge + width - 1, budget)
         else:
             lo, hi = max(edge - width + 1, -budget), edge
-        clipped = (hi - lo + 1) < width
-        yield Window(lo, hi), clipped
-        if clipped:
-            return
+        solutions = finite_support_kernel(op, Window(lo, hi)).solutions()
+        if hi - lo + 1 < width or (solutions and not widen):
+            return solutions
+        widen = widen and not solutions  # widen once past the first hit
         width *= 2
 
 
@@ -298,19 +300,19 @@ def build_lacunary(
 ) -> Union[PartialLacunarySolution, Inconclusive]:
     """Assemble blocks with strictly growing gaps until one reaches min_gap.
 
-    Each ray is tried in turn (positive first).  Block i+1 is searched for
-    in doubling windows that start a target distance beyond block i, where
-    the target at step i is max(i + 2, twice the previous gap): at least
-    the i + 2 ramp the gap profile must dominate, but accelerating so a
-    requested gap is reached in logarithmically many blocks instead of
-    linearly many indices.  All windows stay inside [-budget, budget]; if
-    neither ray produces the requested gap the outcome is Inconclusive.
+    Each ray is tried in turn (positive first).  Block i+1 is the block
+    search's earliest-ending solution from an edge a target distance beyond
+    block i, where the target at step i is max(i + 2, twice the previous
+    gap): at least the i + 2 ramp the gap profile must dominate, but
+    accelerating so a requested gap is reached in logarithmically many
+    blocks instead of linearly many indices.  All windows stay inside
+    [-budget, budget]; if neither ray produces the requested gap the
+    outcome is Inconclusive.
     """
     if min_gap < 1:
         raise ValueError("min_gap must be positive")
     if budget < 1:
         raise ValueError("budget must be positive")
-    width_base = op.order + 1
     best_gap = 0
 
     for ray in (RAY_POSITIVE, RAY_NEGATIVE):
@@ -326,16 +328,13 @@ def build_lacunary(
                     edge = blocks[-1].max_support + target
                 else:
                     edge = blocks[-1].min_support - target
-            if abs(edge) > budget:
+            candidates = _first_blocks(op, ray, edge, budget)
+            if not candidates:
                 break
-            found = None
-            for w, _ in _grow_block_windows(ray, edge, width_base, budget):
-                kb = finite_support_kernel(op, w)
-                if kb.dimension:
-                    found = _pick_block(kb.solutions(), ray)
-                    break
-            if found is None:
-                break
+            if ray == RAY_POSITIVE:
+                found = min(candidates, key=lambda s: (s.max_support, s.min_support, s.values))
+            else:
+                found = min(candidates, key=lambda s: (-s.min_support, -s.max_support, s.values))
             if blocks:
                 if ray == RAY_POSITIVE:
                     gaps.append(found.min_support - blocks[-1].max_support)
@@ -345,14 +344,8 @@ def build_lacunary(
             blocks.append(found)
             if gaps and gaps[-1] >= min_gap:
                 result = PartialLacunarySolution(tuple(blocks), tuple(gaps), ray)
-                cw = result.covered_window()
-                check = Window(cw.lo - op.order, cw.hi + op.order)
-                try:
-                    windowed_residual_check(op, result.assembled(), check)
-                except NotASolutionOnWindow as exc:
-                    raise VerificationFailure(
-                        f"assembled prefix fails the equation at n={exc.n}"
-                    ) from exc
+                if not verify_partial_lacunary(op, result):
+                    raise VerificationFailure("assembled prefix fails re-verification")
                 return result
     return Inconclusive(
         reason=f"no gap of {min_gap} reached within budget {budget} on either ray",

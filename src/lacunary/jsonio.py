@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .engine import (
     DimensionCertificate,
@@ -51,17 +51,24 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, str):
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(f"expected a rational string 'p/q', got {text!r}")
+    try:
         return Fraction(text)
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    raise ValueError(f"expected a rational string 'p/q', got {text!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 def _int(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _list(value: Any, what: str, parse: Callable[[Any], Any]) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(parse(v) for v in value)
 
 
 def _bool(value: Any, what: str) -> bool:
@@ -122,19 +129,22 @@ def sequence_from_json(data: Any) -> SequenceSpec:
     if kind == "finite_table":
         return FiniteTable(
             anchor=_int(data["anchor"], "anchor"),
-            values=tuple(parse_rational(v) for v in data["values"]),
+            values=_list(data["values"], "values", parse_rational),
             default=parse_rational(data.get("default", "0/1")),
         )
     if kind == "periodic":
         return Periodic(
             period=_int(data["period"], "period"),
-            values=tuple(parse_rational(v) for v in data["values"]),
+            values=_list(data["values"], "values", parse_rational),
             offset=_int(data.get("offset", 0), "offset"),
         )
     if kind == "residue_poly":
+        per_class = data["per_class"]
+        if not isinstance(per_class, dict):
+            raise ValueError(f"per_class must be a JSON object, got {per_class!r}")
         per_class = {
-            int(residue): tuple(parse_rational(c) for c in poly)
-            for residue, poly in data["per_class"].items()
+            int(residue): _list(poly, "polynomial", parse_rational)
+            for residue, poly in per_class.items()
         }
         return ResiduePolynomial(modulus=_int(data["modulus"], "modulus"), per_class=per_class)
     if kind == "geometric_support":
@@ -157,7 +167,7 @@ def operator_to_json(op: OperatorSpec) -> dict:
 def operator_from_json(data: Any) -> OperatorSpec:
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError("operator JSON must be an object with a 'coeffs' list")
-    coeffs = tuple(sequence_from_json(c) for c in data["coeffs"])
+    coeffs = _list(data["coeffs"], "coeffs", sequence_from_json)
     op = OperatorSpec(coeffs)
     declared = data.get("order")
     if declared is not None and _int(declared, "order") != op.order:
@@ -179,7 +189,7 @@ def finite_solution_from_json(data: Any) -> FiniteSolution:
         raise ValueError("finite solution JSON must be an object")
     return FiniteSolution(
         anchor=_int(data["anchor"], "anchor"),
-        values=tuple(parse_rational(v) for v in data["values"]),
+        values=_list(data["values"], "values", parse_rational),
     )
 
 
@@ -193,8 +203,8 @@ def kernel_basis_to_json(kb: KernelBasis) -> dict:
 def kernel_basis_from_json(data: Any) -> KernelBasis:
     return KernelBasis(
         window=_window_from_json(data["window"]),
-        vectors=tuple(
-            tuple(parse_rational(v) for v in vec) for vec in data["vectors"]
+        vectors=_list(
+            data["vectors"], "vectors", lambda vec: _list(vec, "vector", parse_rational)
         ),
     )
 
@@ -212,7 +222,7 @@ def dimension_certificate_from_json(data: Any) -> DimensionCertificate:
     return DimensionCertificate(
         k=_int(data["k"], "k"),
         window=_window_from_json(data["window"]),
-        solutions=tuple(finite_solution_from_json(s) for s in data["solutions"]),
+        solutions=_list(data["solutions"], "solutions", finite_solution_from_json),
     )
 
 
@@ -227,8 +237,8 @@ def partial_lacunary_to_json(partial: PartialLacunarySolution) -> dict:
 
 def partial_lacunary_from_json(data: Any) -> PartialLacunarySolution:
     return PartialLacunarySolution(
-        blocks=tuple(finite_solution_from_json(b) for b in data["blocks"]),
-        gap_profile=tuple(_int(g, "gap") for g in data["gap_profile"]),
+        blocks=_list(data["blocks"], "blocks", finite_solution_from_json),
+        gap_profile=_list(data["gap_profile"], "gap_profile", lambda g: _int(g, "gap")),
         ray=data["ray"],
     )
 

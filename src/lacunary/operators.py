@@ -24,7 +24,6 @@ from typing import Iterable, Optional, Sequence
 from .sequences import (
     ZERO,
     FiniteTable,
-    GeometricSupport,
     Periodic,
     ResiduePolynomial,
     SequenceSpec,
@@ -179,7 +178,7 @@ def window_matrix(op: OperatorSpec, w: Window) -> list[BandRow]:
 
 
 class MaskViolation(Exception):
-    """A sampled coefficient value contradicts its claimed residue mask."""
+    """A coefficient is nonzero at n, outside its claimed residue mask."""
 
     def __init__(self, k: int, n: int) -> None:
         super().__init__(
@@ -235,33 +234,33 @@ class ResidueCertificate:
     conflicts: tuple[tuple[int, int, int], ...]
 
 
-def _natural_period(spec: SequenceSpec) -> int:
-    if isinstance(spec, Periodic):
-        return spec.period
-    if isinstance(spec, ResiduePolynomial):
-        return spec.modulus
-    return 1
-
-
-def _mask_sample_indices(op: OperatorSpec, period: int) -> list[int]:
-    # Two full common periods around 0, plus the aperiodic parts of any
-    # coefficient: tabulated ranges and an initial stretch of doubling
-    # support points.
-    samples = set(range(-period, period))
-    for a in op.coeffs:
-        if isinstance(a, FiniteTable):
-            samples.update(range(a.anchor - 1, a.anchor + len(a.values) + 1))
-        elif isinstance(a, GeometricSupport):
-            step = a.scale
-            for _ in range(12):
-                samples.add(step + a.shift)
-                step *= 2
-            if a.allow_negative_m:
-                d = a.scale
-                while d % 2 == 0:
-                    d //= 2
-                    samples.add(d + a.shift)
-    return sorted(samples)
+def _mask_points(a: SequenceSpec, modulus: int) -> Iterable[int]:
+    """Indices whose values decide whether `a` respects a mask mod `modulus`."""
+    if isinstance(a, Periodic):
+        return range(math.lcm(a.period, modulus))
+    if isinstance(a, ResiduePolynomial):
+        period = math.lcm(a.modulus, modulus)
+        # a nonzero polynomial of degree d has a non-root among any d + 1 points
+        return (
+            n + j * period
+            for n in range(period)
+            for j in range(len(a.per_class.get(n % a.modulus, ())))
+        )
+    if isinstance(a, FiniteTable):
+        # past the table every residue class carries the default
+        return range(a.anchor, a.anchor + len(a.values) + modulus)
+    points = []
+    d = a.scale
+    while a.allow_negative_m and d % 2 == 0:
+        d //= 2
+        points.append(d + a.shift)
+    # scale * 2**m mod the modulus is eventually periodic: stop at a repeat
+    seen, step = set(), a.scale
+    while step % modulus not in seen:
+        seen.add(step % modulus)
+        points.append(step + a.shift)
+        step *= 2
+    return points
 
 
 def residue_certificate(
@@ -271,9 +270,12 @@ def residue_certificate(
 ) -> ResidueCertificate:
     """Certify L x = 0 for all x supported inside `sol_mask`, by disjointness.
 
-    The claimed coefficient masks are spot-checked on a sample window
-    covering two full common periods and the aperiodic coefficient parts;
-    a contradiction raises MaskViolation and no certificate is issued.
+    Each claimed coefficient mask is checked exactly against its sequence:
+    one common period of a periodic coefficient, every subclass of a
+    nonzero residue polynomial, the table and default of a finite table,
+    and the eventually periodic doubling points of a geometric support.  A
+    coefficient nonzero outside its mask raises MaskViolation with a
+    witness index, and no certificate is issued.
     Certification itself is symbolic: lift all masks to the lcm modulus and
     look for a coefficient residue rho and solution residue tau with
     rho + k = tau, which is exactly a product term the masks fail to kill.
@@ -282,14 +284,12 @@ def residue_certificate(
     if len(coeff_masks) != r + 1:
         raise ValueError(f"need {r + 1} coefficient masks, got {len(coeff_masks)}")
 
-    lifted_modulus = math.lcm(sol_mask.modulus, *(m.modulus for m in coeff_masks))
-    sample_period = math.lcm(
-        lifted_modulus, *(_natural_period(a) for a in op.coeffs)
-    )
-    for n in _mask_sample_indices(op, sample_period):
-        for k, a_k in enumerate(op.coeffs):
-            if a_k.value_at(n) != 0 and not coeff_masks[k].admits(n):
+    for k, (a_k, mask) in enumerate(zip(op.coeffs, coeff_masks)):
+        for n in _mask_points(a_k, mask.modulus):
+            if a_k.value_at(n) != 0 and not mask.admits(n):
                 raise MaskViolation(k, n)
+
+    lifted_modulus = math.lcm(sol_mask.modulus, *(m.modulus for m in coeff_masks))
 
     sol_lifted = sorted(sol_mask.lifted(lifted_modulus))
     conflicts = []

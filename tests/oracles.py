@@ -3,10 +3,14 @@
 Everything here is deliberately naive and shares no code with the package
 internals: plain rational Gauss-Jordan with a different pivot rule, and
 window systems assembled from unit-sequence residuals instead of the
-library's matrix constructor.
+library's matrix constructor.  The one exception is
+symmetric_window_certify, an earlier certify search kept as a reference
+for the block sweep; it runs on the library's kernel.
 """
 
 from fractions import Fraction
+
+from lacunary import DimensionCertificate, Inconclusive, Window, finite_support_kernel
 
 
 def naive_rref(matrix):
@@ -108,3 +112,38 @@ def spans_equal(basis_a, basis_b, ncols):
     stacked = [list(v) for v in basis_a] + [list(v) for v in basis_b]
     rank_ab, _ = naive_rank_nullspace(stacked)
     return rank_a == rank_b == rank_ab
+
+
+def symmetric_window_certify(op, k, budget):
+    """Search growing symmetric windows for k disjoint-support solutions.
+
+    Window half-widths run r+1, 2(r+1), 4(r+1), ... up to the budget.  On
+    each window the finite-support kernel basis is scanned leftmost-first
+    and vectors whose supports overlap anything already taken are skipped.
+    """
+    best_dim = 0
+    half = op.order + 1
+    while half <= budget:
+        w = Window(-half, half)
+        kb = finite_support_kernel(op, w)
+        best_dim = max(best_dim, kb.dimension)
+        if kb.dimension >= k:
+            candidates = sorted(
+                kb.solutions(),
+                key=lambda s: (s.min_support, s.max_support, s.values),
+            )
+            taken = []
+            used = set()
+            for s in candidates:
+                supp = s.support_set()
+                if used & supp:
+                    continue
+                taken.append(s)
+                used |= supp
+                if len(taken) == k:
+                    return DimensionCertificate(k, w, tuple(taken))
+        half *= 2
+    return Inconclusive(
+        reason=f"no {k} disjoint solutions within budget {budget}",
+        best_kernel_dim=best_dim,
+    )

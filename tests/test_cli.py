@@ -1,8 +1,13 @@
 """End-to-end command line runs, in process, over temp files."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lacunary.cli import main
 from lacunary.corpus import (
@@ -177,7 +182,10 @@ def test_verify_tampered_certificate(capsys, vanish_r2, tmp_path):
     run(capsys, "certify", "--operator", vanish_r2, "--k", "3",
         "--budget", "100", "--out", str(cert_file))
     data = json.loads(cert_file.read_text())
-    data["solutions"][0]["anchor"] = 0  # move a solution onto a multiple of 3
+    # move a solution onto a multiple of 3 inside the certificate window,
+    # where it is no solution (counting oracle: multiples of r+1 are not free)
+    lo, hi = data["window"]
+    data["solutions"][0]["anchor"] = next(n for n in range(lo, hi + 1) if n % 3 == 0)
     cert_file.write_text(dumps_canonical(data))
     code, out, err = run(
         capsys, "verify", "--operator", vanish_r2, "--certificate", str(cert_file),
@@ -279,3 +287,94 @@ def test_non_bool_flag_exit_1(capsys, tmp_path, vanish_r2):
     assert out == ""
     assert err.startswith("error:") and "allow_negative_m" in err
     assert err.count("\n") == 1
+
+
+MALFORMED = {
+    "kernel": ({"coeffs": 5}, None, None),
+    "verify": (None, None, {"window": [0, 2], "vectors": 5}),
+    "check": (
+        {"coeffs": [{"kind": "periodic", "period": 1, "values": ["1/0"]}]},
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MALFORMED))
+def test_malformed_json_exit_1_one_line(command):
+    code, out, err = run_fuzzed(*MALFORMED[command], commands=(command,))[0]
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+VALID = {
+    "operator": operator_to_json(vanish_on_multiples_operator(2)),
+    "sequence": sequence_to_json(geometric_lacunary_sequence(2)),
+    "certificate": {
+        "kind": "dimension_certificate",
+        "k": 1,
+        "window": [1, 1],
+        "solutions": [{"anchor": 1, "values": ["1/1"]}],
+    },
+}
+
+FUZZ_ARGS = {
+    "check": ("--sequence", "{sequence}", "--window", "0:6"),
+    "kernel": ("--window", "0:6"),
+    "certify": ("--k", "2", "--budget", "6"),
+    "split": ("--sequence", "{sequence}", "--window", "0:6"),
+    "build": ("--gap", "2", "--budget", "6"),
+    "verify": ("--certificate", "{certificate}"),
+}
+
+
+def run_fuzzed(operator, sequence, certificate, commands=tuple(FUZZ_ARGS)):
+    """Run subcommands on the given JSON values (None: a valid stand-in)."""
+    given_values = {"operator": operator, "sequence": sequence, "certificate": certificate}
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, value in given_values.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(VALID[name] if value is None else value, fh)
+        for command in commands:
+            argv = [command, "--operator", paths["operator"]]
+            argv += [a.format(**paths) for a in FUZZ_ARGS[command]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+JSON_KEYS = st.sampled_from([
+    "kind", "coeffs", "order", "values", "anchor", "default", "period", "offset",
+    "modulus", "per_class", "scale", "shift", "value", "allow_negative_m",
+    "window", "vectors", "k", "solutions", "blocks", "gap_profile", "ray", "pieces",
+]) | st.text(max_size=4)
+JSON_STRINGS = st.sampled_from([
+    "finite_table", "periodic", "residue_poly", "geometric_support",
+    "dimension_certificate", "partial_lacunary", "split_result", "positive",
+    "1/1", "-2/3", "0/1", "1/0", "0", "1", "x",
+]) | st.text(max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-8, max_value=8) | st.integers()
+    | JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_KEYS, children, max_size=5),
+    max_leaves=16,
+)
+maybe_valid = st.none() | json_values
+
+
+@settings(max_examples=60, deadline=None)
+@given(maybe_valid, maybe_valid, maybe_valid)
+@example(*MALFORMED["kernel"])
+@example(*MALFORMED["verify"])
+@example(*MALFORMED["check"])
+def test_arbitrary_json_never_escapes(operator, sequence, certificate):
+    for code, out, err in run_fuzzed(operator, sequence, certificate):
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1

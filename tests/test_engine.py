@@ -13,6 +13,7 @@ from lacunary import (
     NotASolutionOnWindow,
     OperatorSpec,
     PartialLacunarySolution,
+    Periodic,
     Window,
     build_lacunary,
     certify_dimension,
@@ -30,7 +31,8 @@ from lacunary.corpus import (
 )
 from lacunary.linalg import finite_support_kernel
 
-from .strategies import residue_operators
+from .oracles import symmetric_window_certify
+from .strategies import periodic_operators, residue_operators
 
 
 def fib_table(count):
@@ -56,7 +58,11 @@ def test_certify_dimension_singletons_off_multiples():
     out = certify_dimension(vanish_on_multiples_operator(1), 10, 1000)
     assert isinstance(out, DimensionCertificate)
     assert out.k == 10
-    assert out.window == Window(-16, 16)
+    # the sweep starts at -budget and takes the first 10 free indices, the
+    # odd ones (counting oracle: indices off the multiples of r+1 = 2)
+    free = [n for n in range(-1000, 1001) if n % 2 != 0][:10]
+    assert out.window == Window(free[0], free[-1])
+    assert [s.anchor for s in out.solutions] == free
     for s in out.solutions:
         assert s.values == (Fraction(1),)
         assert s.anchor % 2 == 1
@@ -72,8 +78,71 @@ def test_certify_dimension_inconclusive_on_fibonacci():
 def test_certify_dimension_zero_operator_small_budget():
     out = certify_dimension(zero_operator(), 7, 8)
     assert isinstance(out, DimensionCertificate)
-    assert out.window == Window(-4, 4)
-    assert [s.anchor for s in out.solutions] == [-4, -3, -2, -1, 0, 1, 2]
+    # every index is free: the sweep takes the first 7 from -budget on
+    assert out.window == Window(-8, -2)
+    assert [s.anchor for s in out.solutions] == [-8, -7, -6, -5, -4, -3, -2]
+
+
+def interleaved_chain_operator():
+    # x(n) + x(n+2) = 0 for n = 0, 1 mod 4 and no equation elsewhere: the
+    # solutions {4j, 4j+2} and {4j+1, 4j+3} interleave without overlapping
+    z = Periodic(4, (Fraction(1), Fraction(1), Fraction(0), Fraction(0)))
+    return OperatorSpec((z, Periodic(1, (Fraction(0),)), z))
+
+
+def test_certify_dimension_interleaved_chains():
+    op = interleaved_chain_operator()
+    for certify in (certify_dimension, symmetric_window_certify):
+        out = certify(op, 12, 16)
+        assert isinstance(out, DimensionCertificate)
+        assert verify_dimension_certificate(op, out)
+    # the sweep uses the whole budget: all 16 chains inside [-16, 16]
+    out = certify_dimension(op, 16, 16)
+    assert isinstance(out, DimensionCertificate)
+    assert verify_dimension_certificate(op, out)
+    chains = [[n, n + 2] for n in range(-16, 14) if n % 4 in (0, 1)]
+    assert [sorted(s.support_set()) for s in out.solutions] == chains
+    assert isinstance(symmetric_window_certify(op, 13, 16), Inconclusive)
+    out = certify_dimension(op, 17, 16)
+    assert isinstance(out, Inconclusive)
+    assert out.best_kernel_dim == 16
+
+
+def test_certify_dimension_nested_solutions():
+    # x(n) = 0 for n = 1 mod 4 and x(n) = x(n+2) for n = 2 mod 4: every
+    # singleton {4j+3} lies inside the hull of the pair {4j+2, 4j+4}.  The
+    # zero a_3 makes the order 3, so block windows start 4 wide and the
+    # first one from an edge can hold the singleton without its pair; the
+    # widened window holds both (unwidened, the sweep finds 4 of the 8).
+    zero = Periodic(1, (Fraction(0),))
+    op = OperatorSpec((
+        Periodic(4, (Fraction(0), Fraction(1), Fraction(1), Fraction(0))),
+        zero,
+        Periodic(4, (Fraction(0), Fraction(0), Fraction(-1), Fraction(0))),
+        zero,
+    ))
+    inside = [[n, n + 2] for n in range(-8, 7) if n % 4 == 2]
+    inside += [[n] for n in range(-8, 9) if n % 4 == 3]
+    for certify in (certify_dimension, symmetric_window_certify):
+        out = certify(op, len(inside), 8)
+        assert isinstance(out, DimensionCertificate)
+        assert verify_dimension_certificate(op, out)
+        assert sorted(sorted(s.support_set()) for s in out.solutions) == sorted(inside)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(residue_operators, periodic_operators),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=30),
+)
+def test_certify_dimension_succeeds_where_symmetric_windows_do(op, k, budget):
+    out = certify_dimension(op, k, budget)
+    if isinstance(out, DimensionCertificate):
+        assert out.k == k
+        assert verify_dimension_certificate(op, out)
+    if isinstance(symmetric_window_certify(op, k, budget), DimensionCertificate):
+        assert isinstance(out, DimensionCertificate)
 
 
 def test_certify_dimension_monotone_in_k():

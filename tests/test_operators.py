@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 from lacunary import (
     FiniteSolution,
     FiniteTable,
+    GeometricSupport,
     MaskViolation,
     OperatorSpec,
     Periodic,
     ResidueMask,
+    ResiduePolynomial,
     Window,
     is_global_solution_finite,
     residual,
@@ -28,7 +30,12 @@ from lacunary.corpus import (
 )
 
 from .oracles import densify
-from .strategies import periodic_operators, residue_operators, small_fractions
+from .strategies import (
+    periodic_operators,
+    residue_operators,
+    sequence_specs,
+    small_fractions,
+)
 
 
 def fib_table():
@@ -243,6 +250,54 @@ def test_mask_check_covers_aperiodic_parts():
             [ResidueMask(2, frozenset({0})), ResidueMask(1, frozenset())],
             ResidueMask(2, frozenset({0})),
         )
+    # a nonzero default reaches every residue class, also away from the table
+    op = OperatorSpec((FiniteTable(0, (Fraction(0),), default=Fraction(2)),))
+    with pytest.raises(MaskViolation) as err:
+        residue_certificate(op, [ResidueMask(3, frozenset({0, 1}))], ResidueMask(1, frozenset()))
+    assert err.value.n % 3 == 2
+
+
+def test_mask_check_is_exact_on_polynomial_classes():
+    # a_0(n) = n(n+1) vanishes only at n = 0 and n = -1, so the empty mask
+    # (identically zero) is a lie that no finite sample around 0 exposes
+    op = OperatorSpec((ResiduePolynomial(1, {0: (0, 1, 1)}),))
+    with pytest.raises(MaskViolation) as err:
+        residue_certificate(op, [ResidueMask(1, frozenset())], ResidueMask(1, frozenset({0})))
+    assert err.value.k == 0
+    assert op.coeffs[0].value_at(err.value.n) != 0
+
+
+def test_mask_check_is_exact_on_doubling_points():
+    # 2**m mod 3000 is eventually periodic; m < 12 misses 4096 = 1096 mod 3000
+    op = OperatorSpec((GeometricSupport(1),))
+    first_twelve = ResidueMask(3000, frozenset(pow(2, m, 3000) for m in range(12)))
+    with pytest.raises(MaskViolation) as err:
+        residue_certificate(op, [first_twelve], ResidueMask(1, frozenset()))
+    assert err.value.n == 4096
+    every_power = ResidueMask(3000, frozenset(pow(2, m, 3000) for m in range(3000)))
+    assert residue_certificate(op, [every_power], ResidueMask(1, frozenset())).certified
+
+
+@given(
+    sequence_specs,
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda m: st.builds(
+            ResidueMask,
+            st.just(m),
+            st.frozensets(st.integers(min_value=0, max_value=m - 1)),
+        )
+    ),
+)
+def test_mask_check_witnesses_and_soundness(spec, mask):
+    op = OperatorSpec((spec,))
+    sol_mask = ResidueMask(1, frozenset())
+    try:
+        residue_certificate(op, [mask], sol_mask)
+    except MaskViolation as err:
+        assert spec.value_at(err.n) != 0 and not mask.admits(err.n)
+    else:
+        for n in range(-60, 61):
+            assert spec.value_at(n) == 0 or mask.admits(n)
 
 
 @given(st.data())
