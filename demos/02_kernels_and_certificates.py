@@ -19,7 +19,7 @@ op = vanish_on_multiples_operator(2)
 
 kb = finite_support_kernel(op, Window(0, 12))
 print("kernel dimension on [0, 12]:", kb.dimension)
-for sol in kb.solutions():
+for sol in kb.solutions:
     print("  solution supported on", sorted(sol.support_set()))
 
 # certify_dimension sweeps [-budget, budget] left to right, keeping each

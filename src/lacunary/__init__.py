@@ -28,7 +28,6 @@ from .linalg import (
     WindowTooSmall,
     finite_support_kernel,
     free_kernel_dim,
-    rank_and_nullspace,
 )
 from .operators import (
     FiniteSolution,
@@ -39,7 +38,6 @@ from .operators import (
     is_global_solution_finite,
     residual,
     residue_certificate,
-    vector_to_finite_solution,
     window_matrix,
 )
 from .sequences import (
@@ -83,12 +81,10 @@ __all__ = [
     "free_kernel_dim",
     "is_global_solution_finite",
     "lacunarity_witness",
-    "rank_and_nullspace",
     "residual",
     "residue_certificate",
     "split_lacunary",
     "support_in_window",
-    "vector_to_finite_solution",
     "verify_dimension_certificate",
     "verify_kernel_basis",
     "verify_partial_lacunary",

@@ -109,7 +109,7 @@ def _cmd_kernel(args) -> tuple[int, dict, list[str]]:
     w = _parse_window(args.window)
     kb = finite_support_kernel(op, w)
     text = [f"kernel dimension {kb.dimension} on window [{w.lo}, {w.hi}]"]
-    for fs in kb.solutions():
+    for fs in kb.solutions:
         text.append(f"  solution with support {sorted(fs.support_set())}")
     return EXIT_OK, kernel_basis_to_json(kb), text
 
@@ -169,7 +169,7 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
 
 
 def _verify_split_result(op, data: dict) -> bool:
-    pieces = _list(data.get("pieces", []), "pieces", finite_solution_from_json)
+    pieces = _list(data["pieces"], "pieces", finite_solution_from_json)
     used: set[int] = set()
     for p in pieces:
         supp = p.support_set()

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import (
-    KernelBasis,
-    VerificationFailure,
-    finite_support_kernel,
-    rank_and_nullspace,
-)
+from .linalg import KernelBasis, VerificationFailure, _nullspace, finite_support_kernel
 from .operators import (
     FiniteSolution,
     OperatorSpec,
@@ -288,7 +283,7 @@ def _first_blocks(
             lo, hi = edge, min(edge + width - 1, budget)
         else:
             lo, hi = max(edge - width + 1, -budget), edge
-        solutions = finite_support_kernel(op, Window(lo, hi)).solutions()
+        solutions = finite_support_kernel(op, Window(lo, hi)).solutions
         if hi - lo + 1 < width or (solutions and not widen):
             return solutions
         widen = widen and not solutions  # widen once past the first hit
@@ -374,14 +369,8 @@ def verify_partial_lacunary(op: OperatorSpec, partial: PartialLacunarySolution) 
 
 def verify_kernel_basis(op: OperatorSpec, basis: KernelBasis) -> bool:
     """Re-check a kernel basis: genuine solutions, linearly independent."""
-    try:
-        sols = basis.solutions()
-    except ValueError:
+    if not all(is_global_solution_finite(op, s) for s in basis.solutions):
         return False
-    if not all(is_global_solution_finite(op, s) for s in sols):
-        return False
-    if basis.vectors:
-        rank, _ = rank_and_nullspace(basis.vectors)
-        if rank != basis.dimension:
-            return False
-    return True
+    w = basis.window
+    rank, _ = _nullspace([(s.anchor - w.lo, s.values) for s in basis.solutions], w.size)
+    return rank == basis.dimension

@@ -9,6 +9,7 @@ output files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -50,8 +51,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
+    """A JSON integer, or a string "p/q" or "p" in ASCII digits; nothing else."""
+    if isinstance(text, bool) or not (
+        isinstance(text, int) or isinstance(text, str) and _RATIONAL.fullmatch(text)
+    ):
         raise ValueError(f"expected a rational string 'p/q', got {text!r}")
     try:
         return Fraction(text)
@@ -194,19 +201,32 @@ def finite_solution_from_json(data: Any) -> FiniteSolution:
 
 
 def kernel_basis_to_json(kb: KernelBasis) -> dict:
+    """The one dense form: each solution as a row of values across the window."""
+    w = kb.window
     return {
-        "window": _window_to_json(kb.window),
-        "vectors": [[format_rational(v) for v in vec] for vec in kb.vectors],
+        "window": _window_to_json(w),
+        "vectors": [
+            ["0/1"] * (s.anchor - w.lo)
+            + [format_rational(v) for v in s.values]
+            + ["0/1"] * (w.hi - s.max_support)
+            for s in kb.solutions
+        ],
     }
 
 
 def kernel_basis_from_json(data: Any) -> KernelBasis:
-    return KernelBasis(
-        window=_window_from_json(data["window"]),
-        vectors=_list(
-            data["vectors"], "vectors", lambda vec: _list(vec, "vector", parse_rational)
-        ),
-    )
+    w = _window_from_json(data["window"])
+
+    def solution(vec: Any) -> FiniteSolution:
+        values = _list(vec, "vector", parse_rational)
+        if len(values) != w.size:
+            raise ValueError(f"kernel vector has {len(values)} entries, window has {w.size}")
+        fs = FiniteSolution.from_values(w.lo, values)
+        if fs is None:
+            raise ValueError("zero vector in kernel basis")
+        return fs
+
+    return KernelBasis(w, _list(data["vectors"], "vectors", solution))
 
 
 def dimension_certificate_to_json(cert: DimensionCertificate) -> dict:

@@ -12,12 +12,20 @@ of rows that all start at column 0.  There is one elimination routine:
   every other one is cross-multiplied against it, divided by its content
   (the Bareiss-style growth control) and re-filed under its new first
   column.  Row scaling never changes rank or nullspace.
-- Back-substitution over Fractions reads only each pivot row's span and
-  skips the pivot rows right of the free column, which are zero there.
+- Back-substitution over Fractions builds each basis vector in band form,
+  (first column, values), from its free column leftwards, reading only
+  each pivot row's span.  It stops at the first pivot column c with
+  c + w - 1 below the lowest nonzero so far, w the longest input row.
+  The stop is exact: elimination only shortens a row from the left, so a
+  pivot row at c ends by c + w - 1 and meets only zeros of the vector,
+  and so do all pivot rows further left.  On a band system the kernel
+  costs the total span of its vectors times w, not the window squared.
 
-The nullspace basis is canonical (one vector per free column, integral,
-content 1, positive leading entry), so it does not depend on pivot
-choices, and every vector is asserted to satisfy M v = 0 exactly.
+The nullspace basis is canonical (one vector per free column, trimmed to
+its nonzero span, integral, content 1, positive leading entry), so it does
+not depend on pivot choices.  Every vector is asserted to satisfy M v = 0
+exactly on each row whose span meets its own; every other row multiplies
+only zeros of the vector, so the check is complete.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .operators import (
     FiniteSolution,
     OperatorSpec,
     is_global_solution_finite,
-    vector_to_finite_solution,
     window_matrix,
 )
 from .sequences import Window
@@ -44,7 +51,6 @@ __all__ = [
     "WindowTooSmall",
     "finite_support_kernel",
     "free_kernel_dim",
-    "rank_and_nullspace",
 ]
 
 
@@ -59,26 +65,23 @@ class WindowTooSmall(Exception):
     """The window cannot hold a single full equation of the operator."""
 
 
-Matrix = Sequence[Sequence[Fraction]]
-
-
-def _normalize(vector: list[Fraction]) -> tuple[Fraction, ...]:
-    # Integer entries, content 1, first nonzero entry positive.
-    scale = math.lcm(*(v.denominator for v in vector))
-    ints = [int(v * scale) for v in vector]
+def _normalize(values: list[Fraction]) -> tuple[int, ...]:
+    # Integer entries, content 1, first entry (nonzero) positive.
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
     g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    if ints[0] < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
-def _nullspace(
-    rows: Sequence[BandRow], ncols: int
-) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Exact rank and canonical nullspace basis of a band-row system."""
+def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]:
+    """Exact rank and canonical nullspace basis of a band-row system.
+
+    Basis vectors come in band form, (first column, integer values),
+    trimmed to their nonzero span.
+    """
+    width = max((len(entries) for _, entries in rows), default=0)
     # by_start[c]: integer rows whose first nonzero lies in column c
     by_start: list[list[list[int]]] = [[] for _ in range(ncols)]
     for first, entries in rows:
@@ -112,41 +115,43 @@ def _nullspace(
                 new = [v // g for v in new]
             by_start[col + 1 + nz[0]].append(new)
         pivots[col] = prow
-    pivot_cols = list(pivots)
 
-    basis: list[tuple[Fraction, ...]] = []
+    basis: list[BandRow] = []
     for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for c in reversed(pivot_cols[: bisect.bisect(pivot_cols, free)]):
-            row = pivots[c]
-            s = sum(a * v[c + j] for j, a in enumerate(row) if j and v[c + j])
-            if s:
-                v[c] = -s / row[0]
-        basis.append(_normalize(v))
+        # rev[k] is the entry in column free - k; low, the lowest nonzero
+        rev = [Fraction(1)]
+        low = free
+        for col in range(free - 1, -1, -1):
+            if col + width - 1 < low:
+                break  # this pivot row and all left of it end before low
+            row = pivots.get(col)
+            k = free - col
+            value = Fraction(0)
+            if row is not None:
+                s = sum(a * rev[k - j] for j, a in enumerate(row[1 : k + 1], 1) if a)
+                if s:
+                    value = -s / row[0]
+                    low = col
+            rev.append(value)
+        values = rev[free - low :: -1]
+        basis.append((low, _normalize(values)))
 
-    for v in basis:
-        for first, entries in rows:
-            span = v[first : first + len(entries)]
-            acc = sum(a * b for a, b in zip(entries, span) if a and b)
+    # M v = 0 on every row whose span meets the vector's; the rest see zeros
+    ordered = sorted(rows, key=lambda row: row[0])
+    starts = [first for first, _ in ordered]
+    for lo, values in basis:
+        hi = lo + len(values) - 1
+        near = slice(bisect.bisect_left(starts, lo - width + 1), bisect.bisect_right(starts, hi))
+        for first, entries in ordered[near]:
+            acc = sum(
+                a * values[first + j - lo]
+                for j, a in enumerate(entries)
+                if a and lo <= first + j <= hi
+            )
             assert acc == 0, "nullspace vector fails exact M v = 0 check"
     rank = len(pivots)
     assert rank + len(basis) == ncols
     return rank, basis
-
-
-def rank_and_nullspace(matrix: Matrix) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Exact rank and a canonical nullspace basis of a rational matrix.
-
-    Basis vectors are integral with content 1 and positive leading entry,
-    one per free column in ascending column order, so equal matrices give
-    byte-identical serialized certificates.  Each returned vector is
-    asserted to satisfy M v = 0 exactly.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("ragged matrix")
-    return _nullspace([(0, row) for row in matrix], ncols)
 
 
 @dataclass(frozen=True)
@@ -154,24 +159,17 @@ class KernelBasis:
     """Basis of the global solutions supported inside a window."""
 
     window: Window
-    vectors: tuple[tuple[Fraction, ...], ...]
+    solutions: tuple[FiniteSolution, ...]
 
     def __post_init__(self) -> None:
-        if any(len(v) != self.window.size for v in self.vectors):
-            raise ValueError("basis vector length does not match window size")
+        object.__setattr__(self, "solutions", tuple(self.solutions))
+        for s in self.solutions:
+            if s.min_support < self.window.lo or s.max_support > self.window.hi:
+                raise ValueError("basis solution leaves the window")
 
     @property
     def dimension(self) -> int:
-        return len(self.vectors)
-
-    def solutions(self) -> tuple[FiniteSolution, ...]:
-        out = []
-        for v in self.vectors:
-            fs = vector_to_finite_solution(self.window, v)
-            if fs is None:
-                raise ValueError("zero vector in kernel basis")
-            out.append(fs)
-        return tuple(out)
+        return len(self.solutions)
 
 
 def finite_support_kernel(op: OperatorSpec, w: Window) -> KernelBasis:
@@ -182,8 +180,8 @@ def finite_support_kernel(op: OperatorSpec, w: Window) -> KernelBasis:
     rather than returning an unsound certificate.
     """
     _, basis = _nullspace(window_matrix(op, w), w.size)
-    kb = KernelBasis(w, tuple(basis))
-    for fs in kb.solutions():
+    kb = KernelBasis(w, tuple(FiniteSolution(w.lo + first, values) for first, values in basis))
+    for fs in kb.solutions:
         if not is_global_solution_finite(op, fs):
             raise VerificationFailure(
                 f"kernel vector anchored at {fs.anchor} fails residual re-verification"

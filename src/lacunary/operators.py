@@ -27,7 +27,6 @@ from .sequences import (
     Periodic,
     ResiduePolynomial,
     SequenceSpec,
-    SupportProfile,
     Window,
     as_fraction,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "is_global_solution_finite",
     "residual",
     "residue_certificate",
-    "vector_to_finite_solution",
     "window_matrix",
 ]
 
@@ -115,18 +113,6 @@ class FiniteSolution:
         return frozenset(
             self.anchor + i for i, v in enumerate(self.values) if v != 0
         )
-
-    def support(self) -> SupportProfile:
-        return SupportProfile.from_indices(sorted(self.support_set()))
-
-
-def vector_to_finite_solution(
-    window: Window, vector: Sequence[Fraction]
-) -> Optional[FiniteSolution]:
-    """Read a window-indexed coordinate vector as a FiniteSolution."""
-    if len(vector) != window.size:
-        raise ValueError("vector length does not match window size")
-    return FiniteSolution.from_values(window.lo, vector)
 
 
 def residual(op: OperatorSpec, x: SequenceSpec | FiniteSolution, n: int) -> Fraction:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "FiniteTable",
@@ -78,9 +78,6 @@ class Window:
 
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)
-
-    def contains(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
 
 
 @dataclass(frozen=True)
@@ -235,24 +232,8 @@ class GeometricSupport:
                 return self.value
         return ZERO
 
-    def support_points(self, window: Window) -> list[int]:
-        """Closed-form enumeration of the support inside `window`."""
-        points = []
-        if self.allow_negative_m:
-            d = self.scale
-            while d % 2 == 0:
-                d //= 2
-                points.append(d + self.shift)
-        step = self.scale
-        while step + self.shift <= window.hi:
-            points.append(step + self.shift)
-            step *= 2
-        return sorted(p for p in points if window.contains(p))
-
 
 SequenceSpec = Union[FiniteTable, Periodic, ResiduePolynomial, GeometricSupport]
-
-SEQUENCE_KINDS: tuple[type, ...] = (FiniteTable, Periodic, ResiduePolynomial, GeometricSupport)
 
 
 def support_in_window(spec: SequenceSpec, window: Window) -> SupportProfile:

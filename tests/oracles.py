@@ -129,7 +129,7 @@ def symmetric_window_certify(op, k, budget):
         best_dim = max(best_dim, kb.dimension)
         if kb.dimension >= k:
             candidates = sorted(
-                kb.solutions(),
+                kb.solutions,
                 key=lambda s: (s.min_support, s.max_support, s.values),
             )
             taken = []

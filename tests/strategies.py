@@ -84,3 +84,27 @@ small_matrices = st.integers(min_value=1, max_value=7).flatmap(
         max_size=9,
     )
 )
+
+
+def _band_row(first, lead, core, trail, ncols):
+    # zeros at either end, clipped to the columns right of first
+    entries = (Fraction(0),) * lead + tuple(core) + (Fraction(0),) * trail
+    return first, entries[: ncols - first]
+
+
+band_systems = st.integers(min_value=1, max_value=12).flatmap(
+    lambda nc: st.tuples(
+        st.lists(
+            st.builds(
+                _band_row,
+                st.integers(min_value=0, max_value=nc - 1),
+                st.integers(min_value=0, max_value=1),
+                st.lists(small_fractions, min_size=1, max_size=4),
+                st.integers(min_value=0, max_value=1),
+                st.just(nc),
+            ),
+            max_size=14,
+        ),
+        st.just(nc),
+    )
+)

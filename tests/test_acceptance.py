@@ -17,7 +17,6 @@ from lacunary import (
     finite_support_kernel,
     free_kernel_dim,
     is_global_solution_finite,
-    rank_and_nullspace,
     residual,
     residue_certificate,
     split_lacunary,
@@ -38,6 +37,7 @@ from .oracles import (
     densify,
     matrix_times_vector,
     naive_rank_nullspace,
+    spans_equal,
     support_confined_nullity,
     support_confined_system,
 )
@@ -170,16 +170,18 @@ def test_acceptance_6_oracle_equivalence_suite():
         base = Window(lo, lo + length)
         matrix = support_confined_system(op, base.lo, base.hi)
         ok = ok and densify(window_matrix(op, base), base.size) == matrix
-        rank, vectors = rank_and_nullspace(matrix)
-        oracle_rank, oracle_vectors = naive_rank_nullspace(matrix)
-        ok = ok and rank == oracle_rank and len(vectors) == len(oracle_vectors)
+        _, oracle_vectors = naive_rank_nullspace(matrix)
         kernels = [
             finite_support_kernel(op, Window(base.lo - pad, base.hi + pad))
             for pad in (0, 5, 10)
         ]
-        # the band path and the dense adapter give the same canonical basis
-        ok = ok and kernels[0].vectors == tuple(vectors)
-        for v in kernels[0].vectors:
+        # the band kernel spans the oracle's nullspace, vector by vector exact
+        vectors = densify(
+            [(s.anchor - base.lo, s.values) for s in kernels[0].solutions], base.size
+        )
+        ok = ok and kernels[0].dimension == len(oracle_vectors)
+        ok = ok and spans_equal(vectors, oracle_vectors, base.size)
+        for v in vectors:
             ok = ok and all(
                 e == 0 for e in matrix_times_vector(matrix, v)
             )
@@ -189,8 +191,9 @@ def test_acceptance_6_oracle_equivalence_suite():
     ok = ok and elapsed < 30.0
     report(
         6, ok,
-        "100 seeded random operators: window systems and rank/nullity match the "
-        f"naive oracle, M*v = 0 exactly, kernel growth is monotone ({elapsed:.3f}s)",
+        "100 seeded random operators: window systems, kernel dimension and span "
+        "match the naive oracle, M*v = 0 exactly, kernel growth is monotone "
+        f"({elapsed:.3f}s)",
     )
 
 

@@ -143,6 +143,18 @@ def test_split_and_verify(capsys, vanish_r2, geometric_r2, tmp_path):
     assert json.loads(out)["kind"] == "split_result"
 
 
+def test_verify_split_result_without_pieces_exit_1(capsys, vanish_r2, tmp_path):
+    bare = tmp_path / "split_bare.json"
+    bare.write_text(json.dumps({"kind": "split_result"}))
+    code, out, err = run(
+        capsys, "verify", "--operator", vanish_r2, "--certificate", str(bare),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "pieces" in err
+    assert err.count("\n") == 1
+
+
 def test_split_max_pieces(capsys, vanish_r2, geometric_r2):
     code, out, err = run(
         capsys, "split", "--operator", vanish_r2, "--sequence", geometric_r2,
@@ -175,6 +187,26 @@ def test_build_inconclusive_exit_2(capsys, fibonacci):
     )
     assert code == 2
     assert json.loads(out)["kind"] == "inconclusive"
+
+
+def test_verify_zero_kernel_vector_exit_1(capsys, vanish_r2, tmp_path):
+    basis = tmp_path / "basis_zero.json"
+    basis.write_text(json.dumps({"window": [0, 2], "vectors": [["0/1", "0/1", "0/1"]]}))
+    code, out, err = run(
+        capsys, "verify", "--operator", vanish_r2, "--certificate", str(basis),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # a dependent pair is read, and found invalid
+    basis.write_text(json.dumps(
+        {"window": [0, 2], "vectors": [["0/1", "1/1", "0/1"], ["0/1", "2/1", "0/1"]]}
+    ))
+    code, out, err = run(
+        capsys, "verify", "--operator", vanish_r2, "--certificate", str(basis),
+    )
+    assert code == 1
+    assert json.loads(out)["valid"] is False
 
 
 def test_verify_tampered_certificate(capsys, vanish_r2, tmp_path):
@@ -290,6 +322,11 @@ def test_non_bool_flag_exit_1(capsys, tmp_path, vanish_r2):
 
 
 MALFORMED = {
+    "build": (
+        {"coeffs": [{"kind": "periodic", "period": 1, "values": ["1e1000000000"]}]},
+        None,
+        None,
+    ),
     "kernel": ({"coeffs": 5}, None, None),
     "verify": (None, None, {"window": [0, 2], "vectors": 5}),
     "check": (
@@ -371,6 +408,7 @@ maybe_valid = st.none() | json_values
 
 @settings(max_examples=60, deadline=None)
 @given(maybe_valid, maybe_valid, maybe_valid)
+@example(*MALFORMED["build"])
 @example(*MALFORMED["kernel"])
 @example(*MALFORMED["verify"])
 @example(*MALFORMED["check"])

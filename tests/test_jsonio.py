@@ -50,12 +50,20 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(5) == Fraction(5)
+    assert parse_rational("+2/6") == Fraction(1, 3)
+    assert parse_rational("0/1") == 0
     with pytest.raises(ValueError):
         parse_rational(True)
     with pytest.raises(ValueError):
         parse_rational(0.5)
     with pytest.raises(ValueError):
         parse_rational(None)
+    # only "p/q" and "p" in ASCII digits: no decimals, blanks, underscores,
+    # exponents, signed denominators or other digit scripts
+    for text in ("0.5", " 1/2 ", "1/2\n", "1_000", "1e3", "1e1000000000",
+                 "3/-4", "1/+2", "\uff11", "", "/2", "1/"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_sequence_round_trips_by_hand():
@@ -135,6 +143,18 @@ def test_kernel_basis_round_trip():
     back = kernel_basis_from_json(data)
     assert back == kb
     assert object_from_json(data) == kb
+    # the dense rows are the solutions padded with zeros across the window
+    assert all(len(vec) == 13 for vec in data["vectors"])
+    assert data["vectors"][0] == ["0/1", "1/1"] + ["0/1"] * 11
+
+
+def test_kernel_basis_from_json_rejections():
+    with pytest.raises(ValueError):
+        kernel_basis_from_json({"window": [0, 2], "vectors": [["1/1", "0/1"]]})
+    with pytest.raises(ValueError):
+        kernel_basis_from_json({"window": [0, 2], "vectors": [["0/1", "0/1", "0/1"]]})
+    kb = kernel_basis_from_json({"window": [3, 5], "vectors": [["0/1", "2/1", "0/1"]]})
+    assert kb.solutions == (FiniteSolution(4, (Fraction(2),)),)
 
 
 def test_certificate_round_trip():

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacunary import (
+    FiniteSolution,
     KernelBasis,
     Window,
     WindowTooSmall,
     finite_support_kernel,
     free_kernel_dim,
     is_global_solution_finite,
-    rank_and_nullspace,
     window_matrix,
 )
 from lacunary.corpus import (
@@ -20,6 +20,7 @@ from lacunary.corpus import (
     vanish_on_multiples_operator,
     zero_operator,
 )
+from lacunary.linalg import _nullspace
 
 from .oracles import (
     densify,
@@ -30,40 +31,43 @@ from .oracles import (
     support_confined_nullity,
     support_confined_system,
 )
-from .strategies import residue_operators, small_matrices
+from .strategies import band_systems, residue_operators, small_matrices
 
 
 def frac_matrix(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
+def dense_nullspace(matrix):
+    """Rank and band-form basis of a dense matrix: every row starts at column 0."""
+    return _nullspace([(0, row) for row in matrix], len(matrix[0]))
+
+
 def test_rank_and_nullspace_basics():
-    rank, basis = rank_and_nullspace(frac_matrix([[1, 1], [0, 0]]))
+    rank, basis = dense_nullspace(frac_matrix([[1, 1], [0, 0]]))
     assert rank == 1
-    assert basis == [(Fraction(1), Fraction(-1))]
-    rank, basis = rank_and_nullspace(frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert basis == [(0, (1, -1))]
+    rank, basis = dense_nullspace(frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert (rank, basis) == (3, [])
-    rank, basis = rank_and_nullspace(frac_matrix([[0, 0], [0, 0]]))
+    rank, basis = dense_nullspace(frac_matrix([[0, 0], [0, 0]]))
     assert rank == 0
-    assert basis == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-
-
-def test_rank_and_nullspace_rejects_bad_input():
-    with pytest.raises(ValueError):
-        rank_and_nullspace(frac_matrix([[1, 2], [1]]))
+    # trimmed to the nonzero span: the unit vectors of columns 0 and 1
+    assert basis == [(0, (1,)), (1, (1,))]
 
 
 def test_nullspace_is_canonical():
     # integer entries, content 1, positive leading entry
-    _, basis = rank_and_nullspace(frac_matrix([[2, 4], [0, 0]]))
-    assert basis == [(Fraction(2), Fraction(-1))]
-    _, basis = rank_and_nullspace([[Fraction(1, 3), Fraction(1, 6)]])
-    assert basis == [(Fraction(1), Fraction(-2))]
+    _, basis = dense_nullspace(frac_matrix([[2, 4], [0, 0]]))
+    assert basis == [(0, (2, -1))]
+    _, basis = dense_nullspace([[Fraction(1, 3), Fraction(1, 6)]])
+    assert basis == [(0, (1, -2))]
+    _, basis = dense_nullspace(frac_matrix([[0, 3, 6, 0]]))
+    assert basis == [(0, (1,)), (1, (2, -1)), (3, (1,))]
 
 
 def test_vanish_operator_window_system_nullity():
     op = vanish_on_multiples_operator(2)
-    rank, basis = rank_and_nullspace(densify(window_matrix(op, Window(0, 8)), 9))
+    rank, basis = _nullspace(window_matrix(op, Window(0, 8)), 9)
     assert len(basis) == 6
     assert support_confined_nullity(op, 0, 8) == 6
 
@@ -72,13 +76,31 @@ def test_vanish_operator_window_system_nullity():
 def test_rank_nullity_and_exactness_against_oracle(rows):
     matrix = frac_matrix(rows)
     ncols = len(matrix[0])
-    rank, basis = rank_and_nullspace(matrix)
+    rank, basis = dense_nullspace(matrix)
     oracle_rank, oracle_basis = naive_rank_nullspace(matrix)
+    vectors = densify(basis, ncols)
     assert rank == oracle_rank
     assert rank + len(basis) == ncols
-    for v in basis:
+    for v in vectors:
         assert all(entry == 0 for entry in matrix_times_vector(matrix, v))
-    assert spans_equal(basis, oracle_basis, ncols)
+    assert spans_equal(vectors, oracle_basis, ncols)
+
+
+@settings(max_examples=150)
+@given(band_systems)
+def test_band_system_nullspace_against_oracle(system):
+    # mixed row widths and zero row ends exercise the back-substitution stop
+    rows, ncols = system
+    # the oracle reads the width off the rows: a zero row stands for none
+    matrix = densify(rows, ncols) or [[Fraction(0)] * ncols]
+    rank, basis = _nullspace(rows, ncols)
+    oracle_rank, oracle_basis = naive_rank_nullspace(matrix)
+    vectors = densify(basis, ncols)
+    assert rank == oracle_rank
+    assert all(values[0] > 0 and values[-1] != 0 for _, values in basis)
+    for v in vectors:
+        assert all(entry == 0 for entry in matrix_times_vector(matrix, v))
+    assert spans_equal(vectors, oracle_basis, ncols)
 
 
 @settings(max_examples=40)
@@ -93,8 +115,8 @@ def test_finite_support_kernel_vanish_free_indices():
     op = vanish_on_multiples_operator(2)
     kb = finite_support_kernel(op, Window(1, 2))
     assert kb.dimension == 2
-    assert sorted(s.anchor for s in kb.solutions()) == [1, 2]
-    for s in kb.solutions():
+    assert sorted(s.anchor for s in kb.solutions) == [1, 2]
+    for s in kb.solutions:
         assert s.values == (Fraction(1),)
 
 
@@ -107,7 +129,7 @@ def test_finite_support_kernel_fibonacci_trivial():
 def test_finite_support_kernel_zero_operator():
     kb = finite_support_kernel(zero_operator(), Window(0, 4))
     assert kb.dimension == 5
-    assert all(is_global_solution_finite(zero_operator(), s) for s in kb.solutions())
+    assert all(is_global_solution_finite(zero_operator(), s) for s in kb.solutions)
 
 
 @settings(max_examples=30)
@@ -148,4 +170,6 @@ def test_free_kernel_order_zero():
 
 def test_kernel_basis_validation():
     with pytest.raises(ValueError):
-        KernelBasis(Window(0, 2), ((Fraction(1),),))
+        KernelBasis(Window(0, 2), (FiniteSolution(2, (Fraction(1), Fraction(1))),))
+    with pytest.raises(ValueError):
+        KernelBasis(Window(0, 2), (FiniteSolution(-1, (Fraction(1),)),))

@@ -18,7 +18,6 @@ from lacunary import (
     is_global_solution_finite,
     residual,
     residue_certificate,
-    vector_to_finite_solution,
     window_matrix,
 )
 from lacunary.corpus import (
@@ -85,15 +84,6 @@ def test_finite_solution_from_values_trims():
     x = FiniteSolution.from_values(0, (Fraction(0), Fraction(2), Fraction(0)))
     assert x == FiniteSolution(1, (Fraction(2),))
     assert FiniteSolution.from_values(5, (Fraction(0), Fraction(0))) is None
-
-
-def test_vector_to_finite_solution():
-    w = Window(3, 6)
-    v = (Fraction(0), Fraction(1), Fraction(2), Fraction(0))
-    assert vector_to_finite_solution(w, v) == FiniteSolution(4, (Fraction(1), Fraction(2)))
-    assert vector_to_finite_solution(w, (Fraction(0),) * 4) is None
-    with pytest.raises(ValueError):
-        vector_to_finite_solution(w, (Fraction(1),))
 
 
 def test_window_matrix_fibonacci_frozen():
