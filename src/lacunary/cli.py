@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Any, Optional, Sequence
 
@@ -63,6 +64,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # -50:50 is a window, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse hook
         raise UsageError(message)
 

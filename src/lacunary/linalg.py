@@ -75,13 +75,8 @@ def _normalize(values: list[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]:
-    """Exact rank and canonical nullspace basis of a band-row system.
-
-    Basis vectors come in band form, (first column, integer values),
-    trimmed to their nonzero span.
-    """
-    width = max((len(entries) for _, entries in rows), default=0)
+def _eliminate(rows: Sequence[BandRow], ncols: int) -> dict[int, list[int]]:
+    """Forward elimination: the pivot row of each pivot column (rank = count)."""
     # by_start[c]: integer rows whose first nonzero lies in column c
     by_start: list[list[list[int]]] = [[] for _ in range(ncols)]
     for first, entries in rows:
@@ -115,7 +110,17 @@ def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]
                 new = [v // g for v in new]
             by_start[col + 1 + nz[0]].append(new)
         pivots[col] = prow
+    return pivots
 
+
+def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]:
+    """Exact rank and canonical nullspace basis of a band-row system.
+
+    Basis vectors come in band form, (first column, integer values),
+    trimmed to their nonzero span.
+    """
+    width = max((len(entries) for _, entries in rows), default=0)
+    pivots = _eliminate(rows, ncols)
     basis: list[BandRow] = []
     for free in (c for c in range(ncols) if c not in pivots):
         # rev[k] is the entry in column free - k; low, the lowest nonzero
@@ -149,9 +154,8 @@ def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]
                 if a and lo <= first + j <= hi
             )
             assert acc == 0, "nullspace vector fails exact M v = 0 check"
-    rank = len(pivots)
-    assert rank + len(basis) == ncols
-    return rank, basis
+    assert len(pivots) + len(basis) == ncols
+    return len(pivots), basis
 
 
 @dataclass(frozen=True)
@@ -197,5 +201,4 @@ def free_kernel_dim(op: OperatorSpec, w: Window) -> int:
         )
     # the unclipped rows are the equations n in [w.lo, w.hi - r]
     full = [row for row in window_matrix(op, w) if len(row[1]) == op.order + 1]
-    rank, _ = _nullspace(full, w.size)
-    return w.size - rank
+    return w.size - len(_eliminate(full, w.size))

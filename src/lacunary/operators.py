@@ -120,8 +120,8 @@ def residual(op: OperatorSpec, x: SequenceSpec | FiniteSolution, n: int) -> Frac
     acc = ZERO
     for k, a_k in enumerate(op.coeffs):
         xv = x.value_at(n + k)
-        if xv != 0:
-            acc += a_k.value_at(n) * xv
+        if xv != 0 and (av := a_k.value_at(n)) != 0:
+            acc += av * xv
     return acc
 
 

@@ -237,9 +237,22 @@ SequenceSpec = Union[FiniteTable, Periodic, ResiduePolynomial, GeometricSupport]
 
 
 def support_in_window(spec: SequenceSpec, window: Window) -> SupportProfile:
-    """Exact support of `spec` restricted to `window`, with gap list."""
-    indices = [n for n in window.indices() if spec.value_at(n) != 0]
-    return SupportProfile.from_indices(indices)
+    """Exact support of `spec` in `window`, with gap list, in increasing order.
+
+    Geometric supports walk their doubling points (from scale's odd part if
+    m < 0 is allowed), default-0 tables their table; the rest scan the window.
+    """
+    candidates: Iterable[int] = window.indices()
+    if isinstance(spec, GeometricSupport):
+        d = spec.scale // (spec.scale & -spec.scale) if spec.allow_negative_m else spec.scale
+        top = max(0, window.hi - spec.shift).bit_length()
+        candidates = [(d << m) + spec.shift for m in range(top)]
+    elif isinstance(spec, FiniteTable) and spec.default == 0:
+        end = spec.anchor + len(spec.values)
+        candidates = range(max(window.lo, spec.anchor), min(window.hi + 1, end))
+    return SupportProfile.from_indices(
+        n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0
+    )
 
 
 def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool:

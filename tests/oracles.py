@@ -42,10 +42,9 @@ def naive_rref(matrix):
     return rows, pivots
 
 
-def naive_rank_nullspace(matrix):
-    """(rank, nullspace basis) straight from the reduced echelon form."""
+def naive_rank_nullspace(matrix, ncols):
+    """(rank, nullspace basis in QQ^ncols) straight from the reduced echelon form."""
     rows, pivots = naive_rref(matrix)
-    ncols = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
     basis = []
     for free in (c for c in range(ncols) if c not in pivot_set):
@@ -55,6 +54,21 @@ def naive_rank_nullspace(matrix):
             v[c] = -rows[i][free]
         basis.append(tuple(v))
     return len(pivots), basis
+
+
+def dense_windowed_check(op, x, w):
+    """First (n, residual) that is nonzero for n in [w.lo, w.hi - r], or None.
+
+    Evaluates the equation at every fully windowed index, support or not.
+    """
+    for n in range(w.lo, w.hi - op.order + 1):
+        total = sum(
+            (op.coeffs[k].value_at(n) * x.value_at(n + k) for k in range(op.order + 1)),
+            Fraction(0),
+        )
+        if total != 0:
+            return n, total
+    return None
 
 
 def unit_residual(op, m, n):
@@ -84,7 +98,7 @@ def free_boundary_system(op, lo, hi):
 
 
 def support_confined_nullity(op, lo, hi):
-    rank, _ = naive_rank_nullspace(support_confined_system(op, lo, hi))
+    rank, _ = naive_rank_nullspace(support_confined_system(op, lo, hi), hi - lo + 1)
     return hi - lo + 1 - rank
 
 
@@ -105,12 +119,10 @@ def matrix_times_vector(matrix, vector):
 
 def spans_equal(basis_a, basis_b, ncols):
     """Whether two vector lists span the same subspace of QQ^ncols."""
-    if not basis_a and not basis_b:
-        return True
-    rank_a, _ = naive_rank_nullspace([list(v) for v in basis_a]) if basis_a else (0, [])
-    rank_b, _ = naive_rank_nullspace([list(v) for v in basis_b]) if basis_b else (0, [])
+    rank_a, _ = naive_rank_nullspace([list(v) for v in basis_a], ncols)
+    rank_b, _ = naive_rank_nullspace([list(v) for v in basis_b], ncols)
     stacked = [list(v) for v in basis_a] + [list(v) for v in basis_b]
-    rank_ab, _ = naive_rank_nullspace(stacked)
+    rank_ab, _ = naive_rank_nullspace(stacked, ncols)
     return rank_a == rank_b == rank_ab
 
 

@@ -170,7 +170,7 @@ def test_acceptance_6_oracle_equivalence_suite():
         base = Window(lo, lo + length)
         matrix = support_confined_system(op, base.lo, base.hi)
         ok = ok and densify(window_matrix(op, base), base.size) == matrix
-        _, oracle_vectors = naive_rank_nullspace(matrix)
+        _, oracle_vectors = naive_rank_nullspace(matrix, base.size)
         kernels = [
             finite_support_kernel(op, Window(base.lo - pad, base.hi + pad))
             for pad in (0, 5, 10)

@@ -56,6 +56,15 @@ def test_check_ok(capsys, vanish_r2, geometric_r2):
     assert data["checked_range"] == [0, 98]
 
 
+def test_window_left_of_zero_needs_no_equals_sign(capsys, tmp_path):
+    op = tmp_path / "op_vanish_r1.json"
+    op.write_text(dumps_canonical(operator_to_json(vanish_on_multiples_operator(1))))
+    spaced = run(capsys, "kernel", "--operator", str(op), "--window", "-50:50")
+    joined = run(capsys, "kernel", "--operator", str(op), "--window=-50:50")
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
 def test_check_failure_exit_code(capsys, fibonacci, tmp_path):
     bad = tmp_path / "seq_bad.json"
     bad.write_text(dumps_canonical({

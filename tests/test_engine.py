@@ -1,6 +1,8 @@
 """The three witness procedures: certify, split, build, and their audits."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from lacunary import (
     DimensionCertificate,
     FiniteSolution,
     FiniteTable,
+    GeometricSupport,
     Inconclusive,
     NotASolutionOnWindow,
     OperatorSpec,
@@ -17,6 +20,7 @@ from lacunary import (
     Window,
     build_lacunary,
     certify_dimension,
+    is_global_solution_finite,
     split_lacunary,
     verify_dimension_certificate,
     verify_kernel_basis,
@@ -29,10 +33,11 @@ from lacunary.corpus import (
     vanish_on_multiples_operator,
     zero_operator,
 )
+from lacunary import engine as engine_mod, operators as operators_mod
 from lacunary.linalg import finite_support_kernel
 
-from .oracles import symmetric_window_certify
-from .strategies import periodic_operators, residue_operators
+from .oracles import dense_windowed_check, symmetric_window_certify
+from .strategies import periodic_operators, residue_operators, sequence_specs, windows
 
 
 def fib_table(count):
@@ -386,3 +391,97 @@ def test_build_results_verify(op, min_gap):
     if isinstance(out, PartialLacunarySolution):
         assert out.max_gap >= min_gap
         assert verify_partial_lacunary(op, out)
+
+
+def first_failure(check, *args):
+    """(n, value) of the NotASolutionOnWindow a check raises, or None."""
+    try:
+        check(*args)
+    except NotASolutionOnWindow as err:
+        return err.n, err.value
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(residue_operators, periodic_operators), sequence_specs, windows)
+def test_sparse_checks_match_dense_oracle(op, x, w):
+    expected = dense_windowed_check(op, x, w)
+    assert first_failure(windowed_residual_check, op, x, w) == expected
+    assert first_failure(split_lacunary, op, x, w) == expected
+
+
+@pytest.mark.parametrize(
+    "x",
+    [GeometricSupport(3, 1, Fraction(1), True), GeometricSupport(12, -7, Fraction(1), True)],
+)
+def test_sparse_check_matches_dense_oracle_on_a_wide_window(x):
+    w = Window(-50, 100000)
+    for op in (vanish_on_multiples_operator(2), fibonacci_operator()):
+        assert first_failure(windowed_residual_check, op, x, w) == dense_windowed_check(op, x, w)
+
+
+def dense_partial_check(op, partial):
+    """The assembled-sum check as a scan of every index around the blocks."""
+    cw = partial.covered_window()
+    w = Window(cw.lo - op.order, cw.hi + op.order)
+    return dense_windowed_check(op, partial.assembled(), w) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(residue_operators, residue_operators, st.integers(min_value=2, max_value=6), st.data())
+def test_verify_partial_lacunary_matches_dense_check(op, foreign, min_gap, data):
+    out = build_lacunary(op, min_gap, 60)
+    if not isinstance(out, PartialLacunarySolution):
+        return
+    # tamper with one value of one block; the ends stay nonzero
+    i = data.draw(st.integers(min_value=0, max_value=len(out.blocks) - 1))
+    j = data.draw(st.integers(min_value=0, max_value=len(out.blocks[i].values) - 1))
+    values = list(out.blocks[i].values)
+    values[j] = values[j] + 1 or Fraction(2)
+    blocks = list(out.blocks)
+    blocks[i] = FiniteSolution(blocks[i].anchor, tuple(values))
+    tampered = PartialLacunarySolution(tuple(blocks), out.gap_profile, out.ray)
+    for partial in (out, tampered):
+        for L in (op, foreign):
+            blocks_ok = all(is_global_solution_finite(L, b) for b in partial.blocks)
+            expected = dense_partial_check(L, partial)
+            assert verify_partial_lacunary(L, partial) == (blocks_ok and expected)
+            # without the block checks the assembled sum alone decides
+            with mock.patch.object(engine_mod, "is_global_solution_finite", lambda *_: True):
+                assert verify_partial_lacunary(L, partial) == expected
+
+
+def test_assembled_check_alone_catches_a_foreign_end_block():
+    op = vanish_on_multiples_operator(2)
+    unit = (Fraction(1),)
+    # 3 and 6 are multiples of 3, where this operator's unit solutions fail
+    first = PartialLacunarySolution((FiniteSolution(3, unit), FiniteSolution(7, unit)), (4,), "positive")
+    last = PartialLacunarySolution((FiniteSolution(1, unit), FiniteSolution(6, unit)), (5,), "positive")
+    with mock.patch.object(engine_mod, "is_global_solution_finite", lambda *_: True):
+        for partial in (first, last):
+            assert not dense_partial_check(op, partial)
+            assert not verify_partial_lacunary(op, partial)
+
+
+def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
+    calls = []
+    original = operators_mod.residual
+
+    def counting(op, x, n):
+        calls.append(n)
+        return original(op, x, n)
+
+    monkeypatch.setattr(engine_mod, "residual", counting)
+    monkeypatch.setattr(operators_mod, "residual", counting)
+    op = vanish_on_multiples_operator(2)
+    r = op.order
+    windowed_residual_check(op, geometric_lacunary_sequence(2), Window(0, 10**7))
+    assert 0 < len(calls) <= 3 * (r + 1) * math.ceil(math.log2(10**7))
+
+    # the consume benchmark's partial: 18 unit blocks on the doubling points
+    points = [3 * 2**i + 1 for i in range(18)]
+    blocks = tuple(FiniteSolution(p, (Fraction(1),)) for p in points)
+    gaps = tuple(b - a for a, b in zip(points, points[1:]))
+    calls.clear()
+    assert verify_partial_lacunary(op, PartialLacunarySolution(blocks, gaps, "positive"))
+    assert 0 < len(calls) <= 3 * sum(len(b.values) + r for b in blocks)

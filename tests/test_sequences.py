@@ -152,12 +152,30 @@ def test_residue_polynomial_canonicalization():
     assert c.value_at(4) == 2
 
 
+def scanned_support(spec, w):
+    return tuple(n for n in w.indices() if spec.value_at(n) != 0)
+
+
 @given(sequence_specs, windows)
 def test_support_matches_pointwise_evaluation(spec, w):
-    profile = support_in_window(spec, w)
-    listed = set(profile.indices)
-    for n in w.indices():
-        assert (spec.value_at(n) != 0) == (n in listed)
+    assert support_in_window(spec, w).indices == scanned_support(spec, w)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeometricSupport(3, 1, Fraction(1), True),
+        GeometricSupport(3, 0, Fraction(1), True),
+        GeometricSupport(12, -7, Fraction(-2, 3), True),
+        GeometricSupport(12, -7, Fraction(1)),
+        GeometricSupport(5, 2, Fraction(0), True),
+        FiniteTable(-45, (Fraction(1), Fraction(0), Fraction(2))),
+        FiniteTable(4990, tuple(Fraction(v) for v in (1, 0, 2, 0, 0, 3, 0, 0, 0, 0, 5, 4))),
+    ],
+)
+def test_enumerated_support_matches_scan_on_wide_windows(spec):
+    for w in (Window(-40, 5000), Window(-50, -10), Window(4994, 4995), Window(4995, 5003)):
+        assert support_in_window(spec, w).indices == scanned_support(spec, w)
 
 
 @given(sequence_specs, windows, st.integers(min_value=1, max_value=10))
