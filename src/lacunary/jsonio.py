@@ -8,6 +8,7 @@ output files.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -56,9 +57,19 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def parse_rational(text: Any) -> Fraction:
     """A JSON integer, or a string "p/q" or "p" in ASCII digits; nothing else."""
-    if isinstance(text, bool) or not (
-        isinstance(text, int) or isinstance(text, str) and _RATIONAL.fullmatch(text)
-    ):
+    if isinstance(text, str):
+        return _parse_rational_string(text)
+    if isinstance(text, bool) or not isinstance(text, int):
+        raise ValueError(f"expected a rational string 'p/q', got {text!r}")
+    return Fraction(text)
+
+
+# Certificates repeat a few strings ("0/1", "1/1") many times over: parse each
+# once.  Only strings reach the cache, so True never meets the entry of 1, and
+# a rejected string raises again on every call (exceptions are not cached).
+@functools.lru_cache(maxsize=1024)
+def _parse_rational_string(text: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
         raise ValueError(f"expected a rational string 'p/q', got {text!r}")
     try:
         return Fraction(text)
@@ -129,6 +140,22 @@ def sequence_to_json(spec: SequenceSpec) -> dict:
     raise ValueError(f"not a sequence spec: {spec!r}")
 
 
+_CLASS_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
+def _class_key(key: Any, modulus: int) -> int:
+    """A residue class key as written by sequence_to_json: canonical, below modulus.
+
+    Anything else could name one class twice ("1" and "01"), one key
+    silently overwriting the other.
+    """
+    if not (isinstance(key, str) and _CLASS_KEY.fullmatch(key)) or int(key) >= modulus:
+        raise ValueError(
+            f"residue class key must be a canonical integer in [0, {modulus}), got {key!r}"
+        )
+    return int(key)
+
+
 def sequence_from_json(data: Any) -> SequenceSpec:
     if not isinstance(data, dict):
         raise ValueError(f"sequence spec must be a JSON object, got {data!r}")
@@ -149,11 +176,12 @@ def sequence_from_json(data: Any) -> SequenceSpec:
         per_class = data["per_class"]
         if not isinstance(per_class, dict):
             raise ValueError(f"per_class must be a JSON object, got {per_class!r}")
+        modulus = _int(data["modulus"], "modulus")
         per_class = {
-            int(residue): _list(poly, "polynomial", parse_rational)
+            _class_key(residue, modulus): _list(poly, "polynomial", parse_rational)
             for residue, poly in per_class.items()
         }
-        return ResiduePolynomial(modulus=_int(data["modulus"], "modulus"), per_class=per_class)
+        return ResiduePolynomial(modulus=modulus, per_class=per_class)
     if kind == "geometric_support":
         return GeometricSupport(
             scale=_int(data["scale"], "scale"),

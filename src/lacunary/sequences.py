@@ -163,7 +163,8 @@ def _eval_poly(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
 class ResiduePolynomial:
     """One polynomial in n per residue class mod `modulus`; absent classes are 0.
 
-    Polynomials are stored as ascending coefficient tuples.  Classes whose
+    Polynomials are stored as ascending coefficient tuples.  Keys are reduced
+    mod `modulus`, and two keys of one class are rejected.  Classes whose
     polynomial is identically zero are dropped, so equal sequences compare
     equal and serialize identically.
     """
@@ -174,6 +175,9 @@ class ResiduePolynomial:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
+        classes = [residue % self.modulus for residue in self.per_class]
+        if len(set(classes)) < len(classes):
+            raise ValueError(f"two keys name one residue class mod {self.modulus}")
         canon: dict[int, tuple[Fraction, ...]] = {}
         for residue, poly in self.per_class.items():
             if isinstance(poly, (Fraction, int, str)):

@@ -71,6 +71,16 @@ def dense_windowed_check(op, x, w):
     return None
 
 
+def every_equation_check(op, x):
+    """Whether a finite-support x solves every equation n in [min - r, max].
+
+    Sums all r + 1 terms of each equation, zeros of x and indices past its
+    table included: the check is_global_solution_finite replaces.
+    """
+    w = Window(x.min_support - op.order, x.max_support + op.order)
+    return dense_windowed_check(op, x, w) is None
+
+
 def unit_residual(op, m, n):
     """Residual at n of the sequence that is 1 at index m and 0 elsewhere."""
     total = Fraction(0)

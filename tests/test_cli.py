@@ -343,6 +343,15 @@ MALFORMED = {
         None,
         None,
     ),
+    # "1" and "01" name one residue class: one would overwrite the other
+    "certify": (
+        {"coeffs": [
+            {"kind": "residue_poly", "modulus": 2, "per_class": {"1": ["0/1"], "01": ["1/1"]}},
+            {"kind": "periodic", "period": 1, "values": ["1/1"]},
+        ]},
+        None,
+        None,
+    ),
 }
 
 
@@ -421,6 +430,7 @@ maybe_valid = st.none() | json_values
 @example(*MALFORMED["kernel"])
 @example(*MALFORMED["verify"])
 @example(*MALFORMED["check"])
+@example(*MALFORMED["certify"])
 def test_arbitrary_json_never_escapes(operator, sequence, certificate):
     for code, out, err in run_fuzzed(operator, sequence, certificate):
         assert code in (0, 1, 2)

@@ -33,7 +33,7 @@ from lacunary.corpus import (
     vanish_on_multiples_operator,
     zero_operator,
 )
-from lacunary import engine as engine_mod, operators as operators_mod
+from lacunary import engine as engine_mod
 from lacunary.linalg import finite_support_kernel
 
 from .oracles import dense_windowed_check, symmetric_window_certify
@@ -463,19 +463,25 @@ def test_assembled_check_alone_catches_a_foreign_end_block():
             assert not verify_partial_lacunary(op, partial)
 
 
-def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
+class CountedCoefficient:
+    """A coefficient sequence that records each index it is evaluated at."""
+
+    def __init__(self, spec, calls):
+        self.spec, self.calls = spec, calls
+
+    def value_at(self, n):
+        self.calls.append(n)
+        return self.spec.value_at(n)
+
+
+def test_sparse_checks_cost_linear_in_the_support():
+    # coefficient evaluations bound the work of every residual check,
+    # through residual or the table-only loop of is_global_solution_finite
     calls = []
-    original = operators_mod.residual
-
-    def counting(op, x, n):
-        calls.append(n)
-        return original(op, x, n)
-
-    monkeypatch.setattr(engine_mod, "residual", counting)
-    monkeypatch.setattr(operators_mod, "residual", counting)
     op = vanish_on_multiples_operator(2)
+    counted = OperatorSpec(tuple(CountedCoefficient(a, calls) for a in op.coeffs))
     r = op.order
-    windowed_residual_check(op, geometric_lacunary_sequence(2), Window(0, 10**7))
+    windowed_residual_check(counted, geometric_lacunary_sequence(2), Window(0, 10**7))
     assert 0 < len(calls) <= 3 * (r + 1) * math.ceil(math.log2(10**7))
 
     # the consume benchmark's partial: 18 unit blocks on the doubling points
@@ -483,5 +489,15 @@ def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
     blocks = tuple(FiniteSolution(p, (Fraction(1),)) for p in points)
     gaps = tuple(b - a for a, b in zip(points, points[1:]))
     calls.clear()
-    assert verify_partial_lacunary(op, PartialLacunarySolution(blocks, gaps, "positive"))
+    assert verify_partial_lacunary(counted, PartialLacunarySolution(blocks, gaps, "positive"))
     assert 0 < len(calls) <= 3 * sum(len(b.values) + r for b in blocks)
+
+    # k solutions with interior zeros: at most r + 1 per table entry, and in
+    # fact r + 1 per nonzero entry, since a term with x(n + k) = 0 is skipped
+    k, block = 200, (Fraction(1), Fraction(0), Fraction(1))
+    # supports 3i + 2 and 3i + 4 miss the multiples of 3, the only constrained indices
+    solutions = tuple(FiniteSolution(3 * i + 2, block) for i in range(k))
+    cert = DimensionCertificate(k, Window(2, 3 * k + 1), solutions)
+    calls.clear()
+    assert verify_dimension_certificate(counted, cert)
+    assert 0 < len(calls) <= k * (r + 1) * sum(1 for v in block if v) < k * (r + 1) * len(block)

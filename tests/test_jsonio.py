@@ -66,6 +66,40 @@ def test_parse_rational():
             parse_rational(text)
 
 
+def test_parse_rational_cache_keeps_every_rejection():
+    assert parse_rational(1) == 1
+    with pytest.raises(ValueError):
+        parse_rational(True)
+    assert parse_rational("1") == 1
+    with pytest.raises(ValueError):
+        parse_rational(True)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
+        with pytest.raises(ValueError, match="expected a rational"):
+            parse_rational(" 1/2")
+
+
+def test_parse_rational_cache_past_its_bound():
+    texts = [f"{p}/{q}" for p in range(-60, 61) for q in range(1, 21)]
+    for _ in range(2):
+        for text in texts:
+            value = parse_rational(text)
+            assert value == Fraction(text) and type(value) is Fraction
+    assert parse_rational("4/6") is parse_rational("4/6")
+
+
+@pytest.mark.parametrize(
+    "keys", [["01"], [" 1"], ["+1"], ["1_0"], ["\u0663"], ["-1"], ["3"], [""], [1], ["1", "01"]]
+)
+def test_residue_poly_class_keys_must_be_canonical_and_below_modulus(keys):
+    # "1" and "01" would name one class, the later key silently winning
+    per_class = {key: [f"{i + 1}/1"] for i, key in enumerate(keys)}
+    data = {"kind": "residue_poly", "modulus": 3, "per_class": per_class}
+    with pytest.raises(ValueError, match="residue class key"):
+        sequence_from_json(data)
+
+
 def test_sequence_round_trips_by_hand():
     specs = [
         FiniteTable(-3, (Fraction(1), Fraction(0), Fraction(-2, 3))),

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lacunary import (
     FiniteSolution,
@@ -15,6 +15,7 @@ from lacunary import (
     ResidueMask,
     ResiduePolynomial,
     Window,
+    finite_support_kernel,
     is_global_solution_finite,
     residual,
     residue_certificate,
@@ -28,7 +29,7 @@ from lacunary.corpus import (
     zero_operator,
 )
 
-from .oracles import densify
+from .oracles import densify, every_equation_check
 from .strategies import (
     periodic_operators,
     residue_operators,
@@ -143,6 +144,35 @@ def test_is_global_matches_support_confined_nullspace(op, data):
         sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0 for row in matrix
     )
     assert is_global_solution_finite(op, x) == in_nullspace
+
+
+def test_table_only_check_matches_every_equation():
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(residue_operators, periodic_operators), st.data())
+    def agrees(op, data):
+        lo = data.draw(st.integers(min_value=-8, max_value=8))
+        kernel = finite_support_kernel(op, Window(lo, lo + 12)).solutions
+        candidates = list(kernel)
+        if kernel:
+            # tamper with one entry of a genuine solution; its ends stay nonzero
+            s = data.draw(st.sampled_from(kernel))
+            j = data.draw(st.integers(min_value=0, max_value=len(s.values) - 1))
+            values = list(s.values)
+            values[j] = values[j] + 1 or Fraction(2)
+            candidates.append(FiniteSolution(s.anchor, tuple(values)))
+        # a random table with interior zeros
+        body = data.draw(st.lists(st.sampled_from((0, 0, 1, -1, Fraction(1, 2))), max_size=6))
+        candidates.append(FiniteSolution(lo, (Fraction(1), *body, Fraction(-2))))
+        for x in candidates:
+            expected = every_equation_check(op, x)
+            assert is_global_solution_finite(op, x) == expected
+            outcomes.add(expected)
+        assert all(every_equation_check(op, s) for s in kernel)
+
+    agrees()
+    assert outcomes == {True, False}
 
 
 @given(

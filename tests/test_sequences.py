@@ -150,6 +150,10 @@ def test_residue_polynomial_canonicalization():
     c = ResiduePolynomial(3, {4: (Fraction(2),)})  # residue reduced mod 3
     assert c.value_at(1) == 2
     assert c.value_at(4) == 2
+    # reduction never lets one key overwrite another, a zero class included
+    for per_class in ({2: (Fraction(1),), 5: (Fraction(2),)}, {0: (Fraction(0),), -3: (Fraction(1),)}):
+        with pytest.raises(ValueError, match="residue class"):
+            ResiduePolynomial(3, per_class)
 
 
 def scanned_support(spec, w):
