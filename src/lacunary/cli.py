@@ -83,10 +83,20 @@ def _parse_window(text: str) -> Window:
     return Window(lo, hi)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    # json's default keeps the last of two equal keys, silently dropping one
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

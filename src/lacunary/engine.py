@@ -103,7 +103,7 @@ class DimensionCertificate:
             if s.min_support < self.window.lo or s.max_support > self.window.hi:
                 raise ValueError("solution support leaves the certificate window")
             supp = s.support_set()
-            if not seen.isdisjoint(supp):
+            if seen & supp:
                 raise ValueError("solution supports are not pairwise disjoint")
             seen |= supp
 

@@ -177,6 +177,8 @@ def sequence_from_json(data: Any) -> SequenceSpec:
         if not isinstance(per_class, dict):
             raise ValueError(f"per_class must be a JSON object, got {per_class!r}")
         modulus = _int(data["modulus"], "modulus")
+        if modulus < 1:  # before the keys, whose bound it is
+            raise ValueError("modulus must be positive")
         per_class = {
             _class_key(residue, modulus): _list(poly, "polynomial", parse_rational)
             for residue, poly in per_class.items()

@@ -315,6 +315,21 @@ def test_missing_and_malformed_files(capsys, tmp_path, vanish_r2):
     assert "mangled.json" in err
 
 
+def test_duplicate_json_keys_exit_1_one_line(capsys, tmp_path):
+    # json's default reading keeps the later of two equal keys, silently
+    # running on one of the two coefficients
+    op = tmp_path / "duplicate_keys.json"
+    op.write_text(
+        '{"coeffs": [{"kind": "residue_poly", "modulus": 2,'
+        ' "per_class": {"1": ["0/1"], "1": ["1/1"]}},'
+        ' {"kind": "periodic", "period": 1, "values": ["1/1"]}]}'
+    )
+    code, out, err = run(capsys, "kernel", "--operator", str(op), "--window", "0:4")
+    assert code == 1
+    assert out == ""
+    assert err == "error: duplicate key '1' in a JSON object\n"
+
+
 def test_non_bool_flag_exit_1(capsys, tmp_path, vanish_r2):
     seq = tmp_path / "seq_string_flag.json"
     seq.write_text(json.dumps(

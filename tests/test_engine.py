@@ -474,23 +474,37 @@ class CountedCoefficient:
         return self.spec.value_at(n)
 
 
-def test_sparse_checks_cost_linear_in_the_support():
-    # coefficient evaluations bound the work of every residual check,
-    # through residual or the table-only loop of is_global_solution_finite
-    calls = []
+def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
+    # two counts: coefficient evaluations bound the work of every residual
+    # check, through residual or the table-only loop of
+    # is_global_solution_finite; but residual evaluates no coefficient on an
+    # equation whose terms all miss the support, so the equations the
+    # windowed checks evaluate are counted too, or a scan of the whole
+    # window would go unseen
+    calls, equations = [], []
+    original = engine_mod.residual
+
+    def counting(op, x, n):
+        equations.append(n)
+        return original(op, x, n)
+
+    monkeypatch.setattr(engine_mod, "residual", counting)
     op = vanish_on_multiples_operator(2)
     counted = OperatorSpec(tuple(CountedCoefficient(a, calls) for a in op.coeffs))
     r = op.order
     windowed_residual_check(counted, geometric_lacunary_sequence(2), Window(0, 10**7))
-    assert 0 < len(calls) <= 3 * (r + 1) * math.ceil(math.log2(10**7))
+    bound = 3 * (r + 1) * math.ceil(math.log2(10**7))
+    assert 0 < len(equations) <= bound and 0 < len(calls) <= bound
 
     # the consume benchmark's partial: 18 unit blocks on the doubling points
     points = [3 * 2**i + 1 for i in range(18)]
     blocks = tuple(FiniteSolution(p, (Fraction(1),)) for p in points)
     gaps = tuple(b - a for a, b in zip(points, points[1:]))
     calls.clear()
+    equations.clear()
     assert verify_partial_lacunary(counted, PartialLacunarySolution(blocks, gaps, "positive"))
-    assert 0 < len(calls) <= 3 * sum(len(b.values) + r for b in blocks)
+    bound = 3 * sum(len(b.values) + r for b in blocks)
+    assert 0 < len(equations) <= bound and 0 < len(calls) <= bound
 
     # k solutions with interior zeros: at most r + 1 per table entry, and in
     # fact r + 1 per nonzero entry, since a term with x(n + k) = 0 is skipped

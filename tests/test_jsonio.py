@@ -100,6 +100,14 @@ def test_residue_poly_class_keys_must_be_canonical_and_below_modulus(keys):
         sequence_from_json(data)
 
 
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_residue_poly_modulus_is_checked_before_its_keys(modulus):
+    # the key bound [0, modulus) is empty here: the modulus is what is wrong
+    data = {"kind": "residue_poly", "modulus": modulus, "per_class": {"1": ["1/1"]}}
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        sequence_from_json(data)
+
+
 def test_sequence_round_trips_by_hand():
     specs = [
         FiniteTable(-3, (Fraction(1), Fraction(0), Fraction(-2, 3))),
