@@ -4,7 +4,9 @@ Exit codes follow the semi-algorithm semantics: 0 is a definitive success,
 2 means the budget ran out without a witness (Inconclusive), and 1 is an
 error, including a certificate that fails verification.  JSON output is
 canonical (sorted keys, fixed indentation, rationals as "p/q"), so two
-runs over identical inputs produce byte-identical files.
+runs over identical inputs produce byte-identical files.  Every wire
+format lives in jsonio and every certificate check in engine; this module
+only dispatches and reports.
 """
 
 from __future__ import annotations
@@ -30,26 +32,19 @@ from .engine import (
     windowed_residual_check,
 )
 from .jsonio import (
-    _list,
+    corpus_entry_to_json,
+    dimension_certificate_to_json,
     dumps_canonical,
-    finite_solution_from_json,
-    finite_solution_to_json,
     inconclusive_to_json,
     kernel_basis_to_json,
     object_from_json,
-    object_to_json,
     operator_from_json,
-    operator_to_json,
+    partial_lacunary_to_json,
     sequence_from_json,
-    sequence_to_json,
+    split_result_from_json,
+    split_result_to_json,
 )
-from .linalg import (
-    KernelBasis,
-    VerificationFailure,
-    WindowTooSmall,
-    finite_support_kernel,
-)
-from .operators import MaskViolation, is_global_solution_finite
+from .linalg import VerificationFailure, finite_support_kernel
 from .sequences import Window
 
 __all__ = ["main"]
@@ -144,7 +139,7 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
         f"certificate: solution space dimension >= {outcome.k}",
         f"  {outcome.k} disjoint-support solutions inside [{w.lo}, {w.hi}]",
     ]
-    return EXIT_OK, object_to_json(outcome), text
+    return EXIT_OK, dimension_certificate_to_json(outcome), text
 
 
 def _cmd_split(args) -> tuple[int, dict, list[str]]:
@@ -155,17 +150,12 @@ def _cmd_split(args) -> tuple[int, dict, list[str]]:
     if max_pieces is not None:
         max_pieces = _positive(max_pieces, "max-pieces")
     pieces = split_lacunary(op, seq, w, max_pieces)
-    payload = {
-        "kind": "split_result",
-        "window": [w.lo, w.hi],
-        "pieces": [finite_solution_to_json(p) for p in pieces],
-    }
     if not pieces:
         text = ["no cuts: no piece has enough flanking zeros inside the window"]
     else:
         supports = "; ".join(str(sorted(p.support_set())) for p in pieces)
         text = [f"{len(pieces)} independent pieces with supports {supports}"]
-    return EXIT_OK, payload, text
+    return EXIT_OK, split_result_to_json(w, pieces), text
 
 
 def _cmd_build(args) -> tuple[int, dict, list[str]]:
@@ -180,36 +170,24 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
         f"partial lacunary solution on the {outcome.ray} ray: "
         f"{len(outcome.blocks)} blocks, gap profile {list(outcome.gap_profile)}"
     ]
-    return EXIT_OK, object_to_json(outcome), text
-
-
-def _verify_split_result(op, data: dict) -> bool:
-    pieces = _list(data["pieces"], "pieces", finite_solution_from_json)
-    used: set[int] = set()
-    for p in pieces:
-        supp = p.support_set()
-        if used & supp or not is_global_solution_finite(op, p):
-            return False
-        used |= supp
-    return True
+    return EXIT_OK, partial_lacunary_to_json(outcome), text
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     op = operator_from_json(_load_json(args.operator))
     data = _load_json(args.certificate)
     if isinstance(data, dict) and data.get("kind") == "split_result":
-        kind = "split_result"
-        valid = _verify_split_result(op, data)
+        # an empty split certifies nothing, and nothing is wrong with it
+        cert = split_result_from_json(data)
+        kind, valid = "split_result", cert is None or verify_dimension_certificate(op, cert)
     else:
         obj = object_from_json(data)
         if isinstance(obj, DimensionCertificate):
             kind, valid = "dimension_certificate", verify_dimension_certificate(op, obj)
         elif isinstance(obj, PartialLacunarySolution):
             kind, valid = "partial_lacunary", verify_partial_lacunary(op, obj)
-        elif isinstance(obj, KernelBasis):
-            kind, valid = "kernel_basis", verify_kernel_basis(op, obj)
         else:
-            raise ValueError("unrecognized certificate")
+            kind, valid = "kernel_basis", verify_kernel_basis(op, obj)
     payload = {"command": "verify", "kind": kind, "valid": valid}
     text = [f"{kind}: {'valid' if valid else 'INVALID'}"]
     return EXIT_OK if valid else EXIT_ERROR, payload, text
@@ -223,18 +201,8 @@ def _cmd_corpus(args) -> tuple[int, dict, list[str]]:
             text.append(f"  {e['name']} (order {e['order']}, {len(e['known_facts'])} facts)")
         return EXIT_OK, m, text
     entry = corpus_mod.get_entry(args.name)
-    payload: dict[str, Any] = {
-        "name": entry.name,
-        "operator": operator_to_json(entry.operator),
-        "known_facts": [
-            {"check": f.check, "args": f.args, "expected": f.expected}
-            for f in entry.known_facts
-        ],
-    }
-    if entry.sequence is not None:
-        payload["sequence"] = sequence_to_json(entry.sequence)
     text = [f"{entry.name}: order {entry.operator.order}, {len(entry.known_facts)} known facts"]
-    return EXIT_OK, payload, text
+    return EXIT_OK, corpus_entry_to_json(entry), text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,12 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (
-        MaskViolation,
-        NotASolutionOnWindow,
-        VerificationFailure,
-        WindowTooSmall,
-    ) as exc:
+    except (NotASolutionOnWindow, VerificationFailure) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, KeyError, OSError) as exc:

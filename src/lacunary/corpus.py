@@ -20,6 +20,7 @@ from .engine import (
     certify_dimension,
     split_lacunary,
 )
+from .jsonio import known_fact_to_json
 from .linalg import finite_support_kernel, free_kernel_dim
 from .operators import (
     OperatorSpec,
@@ -313,10 +314,7 @@ def manifest() -> dict:
                 "name": e.name,
                 "order": e.operator.order,
                 "has_sequence": e.sequence is not None,
-                "known_facts": [
-                    {"check": f.check, "args": f.args, "expected": f.expected}
-                    for f in e.known_facts
-                ],
+                "known_facts": [known_fact_to_json(f) for f in e.known_facts],
             }
             for e in _ENTRIES
         ]

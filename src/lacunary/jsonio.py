@@ -1,5 +1,7 @@
 """Canonical JSON forms for every object that crosses the tool boundary.
 
+Every wire format lives here, certificates included: the command line
+calls these readers and writers and holds no format of its own.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), sequence specs carry a "kind" discriminator, and dumps_canonical
 fixes key order and indentation so identical inputs give byte-identical
@@ -12,7 +14,7 @@ import functools
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .engine import (
     DimensionCertificate,
@@ -30,20 +32,31 @@ from .sequences import (
     Window,
 )
 
+if TYPE_CHECKING:
+    from .corpus import CorpusEntry, KnownFact
+
 __all__ = [
+    "corpus_entry_to_json",
+    "dimension_certificate_from_json",
+    "dimension_certificate_to_json",
     "dumps_canonical",
     "finite_solution_from_json",
     "finite_solution_to_json",
     "format_rational",
+    "inconclusive_to_json",
     "kernel_basis_from_json",
     "kernel_basis_to_json",
+    "known_fact_to_json",
     "object_from_json",
-    "object_to_json",
     "operator_from_json",
     "operator_to_json",
     "parse_rational",
+    "partial_lacunary_from_json",
+    "partial_lacunary_to_json",
     "sequence_from_json",
     "sequence_to_json",
+    "split_result_from_json",
+    "split_result_to_json",
 ]
 
 
@@ -293,6 +306,25 @@ def partial_lacunary_from_json(data: Any) -> PartialLacunarySolution:
     )
 
 
+def split_result_to_json(window: Window, pieces: Sequence[FiniteSolution]) -> dict:
+    return {
+        "kind": "split_result",
+        "window": _window_to_json(window),
+        "pieces": [finite_solution_to_json(p) for p in pieces],
+    }
+
+
+def split_result_from_json(data: Any) -> Optional[DimensionCertificate]:
+    """A split's pieces as the dimension certificate they are; None if there are none.
+
+    The pieces must lie inside the window, pairwise disjoint, as for any
+    dimension certificate.  An empty split certifies nothing.
+    """
+    pieces = _list(data["pieces"], "pieces", finite_solution_from_json)
+    window = _window_from_json(data["window"])
+    return DimensionCertificate(len(pieces), window, pieces) if pieces else None
+
+
 def inconclusive_to_json(outcome: Inconclusive) -> dict:
     out: dict[str, Any] = {"kind": "inconclusive", "reason": outcome.reason}
     if outcome.best_kernel_dim is not None:
@@ -302,21 +334,19 @@ def inconclusive_to_json(outcome: Inconclusive) -> dict:
     return out
 
 
-def object_to_json(obj: Any) -> dict:
-    """Serialize any certificate-like object by type dispatch."""
-    if isinstance(obj, DimensionCertificate):
-        return dimension_certificate_to_json(obj)
-    if isinstance(obj, PartialLacunarySolution):
-        return partial_lacunary_to_json(obj)
-    if isinstance(obj, KernelBasis):
-        return kernel_basis_to_json(obj)
-    if isinstance(obj, Inconclusive):
-        return inconclusive_to_json(obj)
-    if isinstance(obj, FiniteSolution):
-        return finite_solution_to_json(obj)
-    if isinstance(obj, OperatorSpec):
-        return operator_to_json(obj)
-    raise ValueError(f"no JSON form for {type(obj).__name__}")
+def known_fact_to_json(fact: KnownFact) -> dict:
+    return {"check": fact.check, "args": fact.args, "expected": fact.expected}
+
+
+def corpus_entry_to_json(entry: CorpusEntry) -> dict:
+    out: dict[str, Any] = {
+        "name": entry.name,
+        "operator": operator_to_json(entry.operator),
+        "known_facts": [known_fact_to_json(f) for f in entry.known_facts],
+    }
+    if entry.sequence is not None:
+        out["sequence"] = sequence_to_json(entry.sequence)
+    return out
 
 
 def object_from_json(data: Any) -> Any:

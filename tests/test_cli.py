@@ -149,7 +149,51 @@ def test_split_and_verify(capsys, vanish_r2, geometric_r2, tmp_path):
         capsys, "verify", "--operator", vanish_r2, "--certificate", str(split_file),
     )
     assert code == 0
-    assert json.loads(out)["kind"] == "split_result"
+    assert json.loads(out) == {"command": "verify", "kind": "split_result", "valid": True}
+
+
+# single points off the multiples of 3 solve vanish_on_multiples_r2
+SPLIT_AT_400 = {"anchor": 400, "values": ["1/1"]}
+BAD_SPLITS = {
+    "no window": {"pieces": [SPLIT_AT_400]},
+    "window not [lo, hi]": {"window": "garbage", "pieces": [SPLIT_AT_400]},
+    "piece outside the window": {"window": [0, 1], "pieces": [SPLIT_AT_400]},
+    "overlapping pieces": {
+        "window": [0, 500],
+        "pieces": [SPLIT_AT_400, {"anchor": 398, "values": ["1/1", "0/1", "1/1"]}],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPLITS))
+def test_verify_malformed_split_result_exit_1(capsys, vanish_r2, tmp_path, case):
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"kind": "split_result", **BAD_SPLITS[case]}))
+    code, out, err = run(
+        capsys, "verify", "--operator", vanish_r2, "--certificate", str(split),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_split_result_empty_or_not_a_solution(capsys, vanish_r2, tmp_path):
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"kind": "split_result", "window": [0, 10], "pieces": []}))
+    code, out, err = run(
+        capsys, "verify", "--operator", vanish_r2, "--certificate", str(split),
+    )
+    assert code == 0
+    assert json.loads(out) == {"command": "verify", "kind": "split_result", "valid": True}
+    # 3 is a multiple of 3: a well-formed split that fails verification
+    split.write_text(json.dumps(
+        {"kind": "split_result", "window": [0, 10], "pieces": [{"anchor": 3, "values": ["1/1"]}]}
+    ))
+    code, out, err = run(
+        capsys, "verify", "--operator", vanish_r2, "--certificate", str(split),
+    )
+    assert code == 1
+    assert json.loads(out) == {"command": "verify", "kind": "split_result", "valid": False}
 
 
 def test_verify_split_result_without_pieces_exit_1(capsys, vanish_r2, tmp_path):

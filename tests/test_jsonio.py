@@ -18,8 +18,13 @@ from lacunary import (
     build_lacunary,
     certify_dimension,
     finite_support_kernel,
+    split_lacunary,
 )
-from lacunary.corpus import fibonacci_operator, vanish_on_multiples_operator
+from lacunary.corpus import (
+    fibonacci_operator,
+    geometric_lacunary_sequence,
+    vanish_on_multiples_operator,
+)
 from lacunary.jsonio import (
     dumps_canonical,
     finite_solution_from_json,
@@ -27,13 +32,17 @@ from lacunary.jsonio import (
     format_rational,
     kernel_basis_from_json,
     kernel_basis_to_json,
+    dimension_certificate_to_json,
+    inconclusive_to_json,
     object_from_json,
-    object_to_json,
     operator_from_json,
     operator_to_json,
     parse_rational,
+    partial_lacunary_to_json,
     sequence_from_json,
     sequence_to_json,
+    split_result_from_json,
+    split_result_to_json,
 )
 
 from .strategies import sequence_specs
@@ -202,7 +211,7 @@ def test_kernel_basis_from_json_rejections():
 def test_certificate_round_trip():
     cert = certify_dimension(vanish_on_multiples_operator(2), 5, 100)
     assert isinstance(cert, DimensionCertificate)
-    data = object_to_json(cert)
+    data = dimension_certificate_to_json(cert)
     assert data["kind"] == "dimension_certificate"
     assert object_from_json(data) == cert
 
@@ -210,7 +219,7 @@ def test_certificate_round_trip():
 def test_partial_lacunary_round_trip():
     out = build_lacunary(vanish_on_multiples_operator(2), 10, 200)
     assert isinstance(out, PartialLacunarySolution)
-    data = object_to_json(out)
+    data = partial_lacunary_to_json(out)
     assert data["kind"] == "partial_lacunary"
     assert object_from_json(data) == out
 
@@ -218,7 +227,7 @@ def test_partial_lacunary_round_trip():
 def test_inconclusive_to_json_fields():
     out = certify_dimension(fibonacci_operator(), 1, 50)
     assert isinstance(out, Inconclusive)
-    data = object_to_json(out)
+    data = inconclusive_to_json(out)
     assert data["kind"] == "inconclusive"
     assert data["best_kernel_dim"] == 0
     assert "best_gap" not in data
@@ -234,9 +243,22 @@ def test_object_from_json_rejections():
         object_from_json(7)
 
 
-def test_object_to_json_rejects_unknown():
-    with pytest.raises(ValueError):
-        object_to_json(Window(0, 1))
+def test_split_result_reads_as_a_dimension_certificate():
+    op, seq = vanish_on_multiples_operator(2), geometric_lacunary_sequence(2)
+    w = Window(0, 1000)
+    pieces = split_lacunary(op, seq, w)
+    data = split_result_to_json(w, pieces)
+    assert data["kind"] == "split_result"
+    assert split_result_from_json(data) == DimensionCertificate(8, w, pieces)
+    assert split_result_from_json(split_result_to_json(w, [])) is None
+    piece = finite_solution_to_json(pieces[0])
+    for bad in (
+        {"window": "garbage", "pieces": [piece]},
+        {"window": [0, 1], "pieces": [piece]},  # the piece lies at 4..7
+        {"window": [0, 1000], "pieces": [piece, piece]},
+    ):
+        with pytest.raises(ValueError):
+            split_result_from_json(bad)
 
 
 def test_dumps_canonical_is_byte_stable():
