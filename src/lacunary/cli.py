@@ -5,8 +5,9 @@ Exit codes follow the semi-algorithm semantics: 0 is a definitive success,
 error, including a certificate that fails verification.  JSON output is
 canonical (sorted keys, fixed indentation, rationals as "p/q"), so two
 runs over identical inputs produce byte-identical files.  Every wire
-format lives in jsonio and every certificate check in engine; this module
-only dispatches and reports.
+format lives in jsonio, certificate kinds included, and every certificate
+check in engine; this module only dispatches on the engine types and
+reports.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any, Optional, Sequence
 
 from . import corpus as corpus_mod
 from .engine import (
-    DimensionCertificate,
     Inconclusive,
     NotASolutionOnWindow,
     PartialLacunarySolution,
@@ -32,19 +32,19 @@ from .engine import (
     windowed_residual_check,
 )
 from .jsonio import (
+    certificate_from_json,
     corpus_entry_to_json,
     dimension_certificate_to_json,
     dumps_canonical,
     inconclusive_to_json,
     kernel_basis_to_json,
-    object_from_json,
+    manifest_to_json,
     operator_from_json,
     partial_lacunary_to_json,
     sequence_from_json,
-    split_result_from_json,
     split_result_to_json,
 )
-from .linalg import VerificationFailure, finite_support_kernel
+from .linalg import KernelBasis, VerificationFailure, finite_support_kernel
 from .sequences import Window
 
 __all__ = ["main"]
@@ -175,19 +175,14 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     op = operator_from_json(_load_json(args.operator))
-    data = _load_json(args.certificate)
-    if isinstance(data, dict) and data.get("kind") == "split_result":
-        # an empty split certifies nothing, and nothing is wrong with it
-        cert = split_result_from_json(data)
-        kind, valid = "split_result", cert is None or verify_dimension_certificate(op, cert)
-    else:
-        obj = object_from_json(data)
-        if isinstance(obj, DimensionCertificate):
-            kind, valid = "dimension_certificate", verify_dimension_certificate(op, obj)
-        elif isinstance(obj, PartialLacunarySolution):
-            kind, valid = "partial_lacunary", verify_partial_lacunary(op, obj)
-        else:
-            kind, valid = "kernel_basis", verify_kernel_basis(op, obj)
+    kind, cert = certificate_from_json(_load_json(args.certificate))
+    # each verifier called by its module-level name, which bench/shim.py rebinds
+    if isinstance(cert, PartialLacunarySolution):
+        valid = verify_partial_lacunary(op, cert)
+    elif isinstance(cert, KernelBasis):
+        valid = verify_kernel_basis(op, cert)
+    else:  # a dimension certificate, or None: an empty split certifies nothing
+        valid = cert is None or verify_dimension_certificate(op, cert)
     payload = {"command": "verify", "kind": kind, "valid": valid}
     text = [f"{kind}: {'valid' if valid else 'INVALID'}"]
     return EXIT_OK if valid else EXIT_ERROR, payload, text
@@ -195,12 +190,15 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_corpus(args) -> tuple[int, dict, list[str]]:
     if args.name is None:
-        m = corpus_mod.manifest()
+        m = manifest_to_json(corpus_mod.entries())
         text = [f"{len(m['entries'])} corpus entries:"]
         for e in m["entries"]:
             text.append(f"  {e['name']} (order {e['order']}, {len(e['known_facts'])} facts)")
         return EXIT_OK, m, text
-    entry = corpus_mod.get_entry(args.name)
+    try:
+        entry = corpus_mod.get_entry(args.name)
+    except KeyError as exc:  # its message, not the repr str(KeyError) gives
+        raise ValueError(exc.args[0]) from None
     text = [f"{entry.name}: order {entry.operator.order}, {len(entry.known_facts)} known facts"]
     return EXIT_OK, corpus_entry_to_json(entry), text
 
@@ -266,7 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotASolutionOnWindow, VerificationFailure) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,7 +20,6 @@ from .engine import (
     certify_dimension,
     split_lacunary,
 )
-from .jsonio import known_fact_to_json
 from .linalg import finite_support_kernel, free_kernel_dim
 from .operators import (
     OperatorSpec,
@@ -47,7 +46,6 @@ __all__ = [
     "fibonacci_operator",
     "geometric_lacunary_sequence",
     "get_entry",
-    "manifest",
     "random_residue_operator",
     "run_known_fact",
     "vanish_on_multiples_operator",
@@ -304,18 +302,3 @@ def get_entry(name: str) -> CorpusEntry:
             return entry
     known = ", ".join(e.name for e in _ENTRIES)
     raise KeyError(f"no corpus entry named {name!r}; known entries: {known}")
-
-
-def manifest() -> dict:
-    """JSON-ready listing of all entries and their known facts."""
-    return {
-        "entries": [
-            {
-                "name": e.name,
-                "order": e.operator.order,
-                "has_sequence": e.sequence is not None,
-                "known_facts": [known_fact_to_json(f) for f in e.known_facts],
-            }
-            for e in _ENTRIES
-        ]
-    }

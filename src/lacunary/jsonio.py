@@ -1,7 +1,11 @@
 """Canonical JSON forms for every object that crosses the tool boundary.
 
-Every wire format lives here, certificates included: the command line
-calls these readers and writers and holds no format of its own.
+Every wire format lives here, certificates and the corpus manifest
+included: the command line calls these readers and writers and holds no
+format of its own.  Certificates have one reader, certificate_from_json,
+which returns the kind with the object, so the kind strings live here
+only.  A missing key, or an unknown key in a sequence spec or an
+operator, is an error that names the object and the key.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), sequence specs carry a "kind" discriminator, and dumps_canonical
 fixes key order and indentation so identical inputs give byte-identical
@@ -36,26 +40,23 @@ if TYPE_CHECKING:
     from .corpus import CorpusEntry, KnownFact
 
 __all__ = [
+    "certificate_from_json",
     "corpus_entry_to_json",
-    "dimension_certificate_from_json",
     "dimension_certificate_to_json",
     "dumps_canonical",
     "finite_solution_from_json",
     "finite_solution_to_json",
     "format_rational",
     "inconclusive_to_json",
-    "kernel_basis_from_json",
     "kernel_basis_to_json",
     "known_fact_to_json",
-    "object_from_json",
+    "manifest_to_json",
     "operator_from_json",
     "operator_to_json",
     "parse_rational",
-    "partial_lacunary_from_json",
     "partial_lacunary_to_json",
     "sequence_from_json",
     "sequence_to_json",
-    "split_result_from_json",
     "split_result_to_json",
 ]
 
@@ -88,6 +89,20 @@ def _parse_rational_string(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
+
+
+def _key(data: dict, key: str, what: str) -> Any:
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{what} has no key {key!r}") from None
+
+
+def _only_keys(data: dict, allowed: tuple[str, ...], what: str) -> None:
+    # a misspelled optional key would otherwise silently take its default
+    unknown = data.keys() - allowed
+    if unknown:
+        raise ValueError(f"{what} has unknown key {min(unknown)!r}")
 
 
 def _int(value: Any, what: str) -> int:
@@ -174,22 +189,25 @@ def sequence_from_json(data: Any) -> SequenceSpec:
         raise ValueError(f"sequence spec must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "finite_table":
+        _only_keys(data, ("kind", "anchor", "values", "default"), kind)
         return FiniteTable(
-            anchor=_int(data["anchor"], "anchor"),
-            values=_list(data["values"], "values", parse_rational),
+            anchor=_int(_key(data, "anchor", kind), "anchor"),
+            values=_list(_key(data, "values", kind), "values", parse_rational),
             default=parse_rational(data.get("default", "0/1")),
         )
     if kind == "periodic":
+        _only_keys(data, ("kind", "period", "values", "offset"), kind)
         return Periodic(
-            period=_int(data["period"], "period"),
-            values=_list(data["values"], "values", parse_rational),
+            period=_int(_key(data, "period", kind), "period"),
+            values=_list(_key(data, "values", kind), "values", parse_rational),
             offset=_int(data.get("offset", 0), "offset"),
         )
     if kind == "residue_poly":
-        per_class = data["per_class"]
+        _only_keys(data, ("kind", "modulus", "per_class"), kind)
+        per_class = _key(data, "per_class", kind)
         if not isinstance(per_class, dict):
             raise ValueError(f"per_class must be a JSON object, got {per_class!r}")
-        modulus = _int(data["modulus"], "modulus")
+        modulus = _int(_key(data, "modulus", kind), "modulus")
         if modulus < 1:  # before the keys, whose bound it is
             raise ValueError("modulus must be positive")
         per_class = {
@@ -198,8 +216,9 @@ def sequence_from_json(data: Any) -> SequenceSpec:
         }
         return ResiduePolynomial(modulus=modulus, per_class=per_class)
     if kind == "geometric_support":
+        _only_keys(data, ("kind", "scale", "shift", "value", "allow_negative_m"), kind)
         return GeometricSupport(
-            scale=_int(data["scale"], "scale"),
+            scale=_int(_key(data, "scale", kind), "scale"),
             shift=_int(data.get("shift", 0), "shift"),
             value=parse_rational(data.get("value", "1/1")),
             allow_negative_m=_bool(data.get("allow_negative_m", False), "allow_negative_m"),
@@ -215,9 +234,10 @@ def operator_to_json(op: OperatorSpec) -> dict:
 
 
 def operator_from_json(data: Any) -> OperatorSpec:
-    if not isinstance(data, dict) or "coeffs" not in data:
+    if not isinstance(data, dict):
         raise ValueError("operator JSON must be an object with a 'coeffs' list")
-    coeffs = _list(data["coeffs"], "coeffs", sequence_from_json)
+    _only_keys(data, ("order", "coeffs"), "operator")
+    coeffs = _list(_key(data, "coeffs", "operator"), "coeffs", sequence_from_json)
     op = OperatorSpec(coeffs)
     declared = data.get("order")
     if declared is not None and _int(declared, "order") != op.order:
@@ -238,8 +258,8 @@ def finite_solution_from_json(data: Any) -> FiniteSolution:
     if not isinstance(data, dict):
         raise ValueError("finite solution JSON must be an object")
     return FiniteSolution(
-        anchor=_int(data["anchor"], "anchor"),
-        values=_list(data["values"], "values", parse_rational),
+        anchor=_int(_key(data, "anchor", "finite solution"), "anchor"),
+        values=_list(_key(data, "values", "finite solution"), "values", parse_rational),
     )
 
 
@@ -257,8 +277,8 @@ def kernel_basis_to_json(kb: KernelBasis) -> dict:
     }
 
 
-def kernel_basis_from_json(data: Any) -> KernelBasis:
-    w = _window_from_json(data["window"])
+def _kernel_basis_from_json(data: dict) -> KernelBasis:
+    w = _window_from_json(_key(data, "window", "kernel_basis"))
 
     def solution(vec: Any) -> FiniteSolution:
         values = _list(vec, "vector", parse_rational)
@@ -269,7 +289,7 @@ def kernel_basis_from_json(data: Any) -> KernelBasis:
             raise ValueError("zero vector in kernel basis")
         return fs
 
-    return KernelBasis(w, _list(data["vectors"], "vectors", solution))
+    return KernelBasis(w, _list(_key(data, "vectors", "kernel_basis"), "vectors", solution))
 
 
 def dimension_certificate_to_json(cert: DimensionCertificate) -> dict:
@@ -281,11 +301,12 @@ def dimension_certificate_to_json(cert: DimensionCertificate) -> dict:
     }
 
 
-def dimension_certificate_from_json(data: Any) -> DimensionCertificate:
+def _dimension_certificate_from_json(data: dict) -> DimensionCertificate:
+    what = "dimension_certificate"
     return DimensionCertificate(
-        k=_int(data["k"], "k"),
-        window=_window_from_json(data["window"]),
-        solutions=_list(data["solutions"], "solutions", finite_solution_from_json),
+        k=_int(_key(data, "k", what), "k"),
+        window=_window_from_json(_key(data, "window", what)),
+        solutions=_list(_key(data, "solutions", what), "solutions", finite_solution_from_json),
     )
 
 
@@ -298,11 +319,14 @@ def partial_lacunary_to_json(partial: PartialLacunarySolution) -> dict:
     }
 
 
-def partial_lacunary_from_json(data: Any) -> PartialLacunarySolution:
+def _partial_lacunary_from_json(data: dict) -> PartialLacunarySolution:
+    what = "partial_lacunary"
     return PartialLacunarySolution(
-        blocks=_list(data["blocks"], "blocks", finite_solution_from_json),
-        gap_profile=_list(data["gap_profile"], "gap_profile", lambda g: _int(g, "gap")),
-        ray=data["ray"],
+        blocks=_list(_key(data, "blocks", what), "blocks", finite_solution_from_json),
+        gap_profile=_list(
+            _key(data, "gap_profile", what), "gap_profile", lambda g: _int(g, "gap")
+        ),
+        ray=_key(data, "ray", what),
     )
 
 
@@ -314,14 +338,14 @@ def split_result_to_json(window: Window, pieces: Sequence[FiniteSolution]) -> di
     }
 
 
-def split_result_from_json(data: Any) -> Optional[DimensionCertificate]:
+def _split_result_from_json(data: dict) -> Optional[DimensionCertificate]:
     """A split's pieces as the dimension certificate they are; None if there are none.
 
     The pieces must lie inside the window, pairwise disjoint, as for any
     dimension certificate.  An empty split certifies nothing.
     """
-    pieces = _list(data["pieces"], "pieces", finite_solution_from_json)
-    window = _window_from_json(data["window"])
+    pieces = _list(_key(data, "pieces", "split_result"), "pieces", finite_solution_from_json)
+    window = _window_from_json(_key(data, "window", "split_result"))
     return DimensionCertificate(len(pieces), window, pieces) if pieces else None
 
 
@@ -349,23 +373,41 @@ def corpus_entry_to_json(entry: CorpusEntry) -> dict:
     return out
 
 
-def object_from_json(data: Any) -> Any:
-    """Parse a certificate-like object, dispatching on 'kind' or shape.
+def manifest_to_json(entries: Sequence[CorpusEntry]) -> dict:
+    """The corpus listing: each entry's name, order and known facts."""
+    return {
+        "entries": [
+            {
+                "name": e.name,
+                "order": e.operator.order,
+                "has_sequence": e.sequence is not None,
+                "known_facts": [known_fact_to_json(f) for f in e.known_facts],
+            }
+            for e in entries
+        ]
+    }
+
+
+def certificate_from_json(data: Any) -> tuple[str, Any]:
+    """Any certificate's kind and engine object, dispatching on 'kind' or shape.
 
     A kernel basis serializes without a 'kind' tag (its two-field shape is
-    its signature), so shape detection keeps round trips working.
+    its signature), so shape detection keeps round trips working.  A split
+    reads as the DimensionCertificate of its pieces, or None if it has none.
     """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
-    kind = data.get("kind")
+    kind = data.get("kind")  # compared, never looked up: it may be any JSON value
     if kind == "dimension_certificate":
-        return dimension_certificate_from_json(data)
+        return kind, _dimension_certificate_from_json(data)
     if kind == "partial_lacunary":
-        return partial_lacunary_from_json(data)
+        return kind, _partial_lacunary_from_json(data)
+    if kind == "split_result":
+        return kind, _split_result_from_json(data)
     if kind is not None:
         raise ValueError(f"unknown certificate kind: {kind!r}")
     if "vectors" in data and "window" in data:
-        return kernel_basis_from_json(data)
+        return "kernel_basis", _kernel_basis_from_json(data)
     raise ValueError("unrecognized certificate JSON shape")
 
 

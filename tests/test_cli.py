@@ -324,7 +324,11 @@ def test_corpus_manifest_and_entry(capsys, tmp_path):
 def test_corpus_unknown_name(capsys):
     code, out, err = run(capsys, "corpus", "nope")
     assert code == 1
-    assert "no corpus entry" in err
+    assert out == ""
+    assert err == (
+        "error: no corpus entry named 'nope'; known entries: vanish_on_multiples_r1, "
+        "vanish_on_multiples_r2, vanish_on_multiples_r3, fibonacci, zero_operator\n"
+    )
 
 
 def test_usage_errors_exit_1(capsys, vanish_r2, geometric_r2):
@@ -422,6 +426,76 @@ def test_malformed_json_exit_1_one_line(command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+ONE_POINT = {"anchor": 1, "values": ["1/1"]}
+CONSTANT_ONE = {"kind": "periodic", "period": 1, "values": ["1/1"]}
+# (command, file role, object name in the error line, a valid object of
+# required keys only)
+READERS = [
+    ("kernel", "operator", "operator", {"coeffs": [CONSTANT_ONE]}),
+    ("check", "sequence", "finite_table", {"kind": "finite_table", "anchor": 0, "values": ["1/1"]}),
+    ("check", "sequence", "periodic", CONSTANT_ONE),
+    ("check", "sequence", "residue_poly", {
+        "kind": "residue_poly", "modulus": 3, "per_class": {"1": ["1/1"]},
+    }),
+    ("check", "sequence", "geometric_support", {"kind": "geometric_support", "scale": 3}),
+    ("verify", "certificate", "dimension_certificate", {
+        "kind": "dimension_certificate", "k": 1, "window": [1, 1], "solutions": [ONE_POINT],
+    }),
+    ("verify", "certificate", "partial_lacunary", {
+        "kind": "partial_lacunary", "ray": "positive", "blocks": [ONE_POINT], "gap_profile": [],
+    }),
+    ("verify", "certificate", "split_result", {
+        "kind": "split_result", "window": [0, 6], "pieces": [ONE_POINT],
+    }),
+]
+MISSING_KEYS = [
+    (command, role, name, {k: v for k, v in obj.items() if k != key}, key)
+    for command, role, name, obj in READERS
+    for key in obj
+    if key != "kind"
+] + [
+    # a finite solution inside a certificate
+    ("verify", "certificate", "finite solution", {
+        "kind": "dimension_certificate", "k": 1, "window": [1, 1], "solutions": [piece],
+    }, key)
+    for key, piece in (("anchor", {"values": ["1/1"]}), ("values", {"anchor": 1}))
+]
+
+
+@pytest.mark.parametrize(
+    "command, role, name, data, key", MISSING_KEYS,
+    ids=[f"{case[2].replace(' ', '_')}-{case[4]}" for case in MISSING_KEYS],
+)
+def test_missing_key_names_key_and_object(command, role, name, data, key):
+    given_values = {"operator": None, "sequence": None, "certificate": None, role: data}
+    code, out, err = run_fuzzed(**given_values, commands=(command,))[0]
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} has no key {key!r}\n"
+
+
+# unchecked, a misspelled optional key would silently take its default
+UNKNOWN_KEYS = [
+    (command, role, name, {**obj, key: value}, key)
+    for (command, role, name, obj), (key, value) in zip(
+        READERS[:5],
+        [("ordr", 0), ("defualt", "1/1"), ("ofset", 1), ("per_classes", {}),
+         ("allow_negativ_m", True)],
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "command, role, name, data, key", UNKNOWN_KEYS, ids=[case[2] for case in UNKNOWN_KEYS],
+)
+def test_unknown_spec_or_operator_key_exit_1(command, role, name, data, key):
+    given_values = {"operator": None, "sequence": None, "certificate": None, role: data}
+    code, out, err = run_fuzzed(**given_values, commands=(command,))[0]
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} has unknown key {key!r}\n"
+
+
 VALID = {
     "operator": operator_to_json(vanish_on_multiples_operator(2)),
     "sequence": sequence_to_json(geometric_lacunary_sequence(2)),
@@ -490,6 +564,7 @@ maybe_valid = st.none() | json_values
 @example(*MALFORMED["verify"])
 @example(*MALFORMED["check"])
 @example(*MALFORMED["certify"])
+@example(None, None, {"kind": ["x"]})
 def test_arbitrary_json_never_escapes(operator, sequence, certificate):
     for code, out, err in run_fuzzed(operator, sequence, certificate):
         assert code in (0, 1, 2)

@@ -22,13 +22,12 @@ from lacunary.corpus import (
     fibonacci_operator,
     geometric_lacunary_sequence,
     get_entry,
-    manifest,
     random_residue_operator,
     run_known_fact,
     vanish_on_multiples_operator,
     zero_operator,
 )
-from lacunary.jsonio import dumps_canonical
+from lacunary.jsonio import dumps_canonical, manifest_to_json
 
 
 def test_all_known_facts_hold():
@@ -179,7 +178,7 @@ def test_run_known_fact_unknown_check():
 
 
 def test_manifest_is_json_ready():
-    data = manifest()
+    data = manifest_to_json(entries())
     assert sorted(e["name"] for e in data["entries"]) == [
         "fibonacci",
         "vanish_on_multiples_r1",

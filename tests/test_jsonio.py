@@ -26,22 +26,20 @@ from lacunary.corpus import (
     vanish_on_multiples_operator,
 )
 from lacunary.jsonio import (
+    certificate_from_json,
     dumps_canonical,
     finite_solution_from_json,
     finite_solution_to_json,
     format_rational,
-    kernel_basis_from_json,
     kernel_basis_to_json,
     dimension_certificate_to_json,
     inconclusive_to_json,
-    object_from_json,
     operator_from_json,
     operator_to_json,
     parse_rational,
     partial_lacunary_to_json,
     sequence_from_json,
     sequence_to_json,
-    split_result_from_json,
     split_result_to_json,
 )
 
@@ -191,9 +189,7 @@ def test_kernel_basis_round_trip():
     kb = finite_support_kernel(vanish_on_multiples_operator(2), Window(0, 12))
     data = kernel_basis_to_json(kb)
     assert data["window"] == [0, 12]
-    back = kernel_basis_from_json(data)
-    assert back == kb
-    assert object_from_json(data) == kb
+    assert certificate_from_json(data) == ("kernel_basis", kb)
     # the dense rows are the solutions padded with zeros across the window
     assert all(len(vec) == 13 for vec in data["vectors"])
     assert data["vectors"][0] == ["0/1", "1/1"] + ["0/1"] * 11
@@ -201,10 +197,11 @@ def test_kernel_basis_round_trip():
 
 def test_kernel_basis_from_json_rejections():
     with pytest.raises(ValueError):
-        kernel_basis_from_json({"window": [0, 2], "vectors": [["1/1", "0/1"]]})
+        certificate_from_json({"window": [0, 2], "vectors": [["1/1", "0/1"]]})
     with pytest.raises(ValueError):
-        kernel_basis_from_json({"window": [0, 2], "vectors": [["0/1", "0/1", "0/1"]]})
-    kb = kernel_basis_from_json({"window": [3, 5], "vectors": [["0/1", "2/1", "0/1"]]})
+        certificate_from_json({"window": [0, 2], "vectors": [["0/1", "0/1", "0/1"]]})
+    kind, kb = certificate_from_json({"window": [3, 5], "vectors": [["0/1", "2/1", "0/1"]]})
+    assert kind == "kernel_basis"
     assert kb.solutions == (FiniteSolution(4, (Fraction(2),)),)
 
 
@@ -213,7 +210,7 @@ def test_certificate_round_trip():
     assert isinstance(cert, DimensionCertificate)
     data = dimension_certificate_to_json(cert)
     assert data["kind"] == "dimension_certificate"
-    assert object_from_json(data) == cert
+    assert certificate_from_json(data) == ("dimension_certificate", cert)
 
 
 def test_partial_lacunary_round_trip():
@@ -221,7 +218,7 @@ def test_partial_lacunary_round_trip():
     assert isinstance(out, PartialLacunarySolution)
     data = partial_lacunary_to_json(out)
     assert data["kind"] == "partial_lacunary"
-    assert object_from_json(data) == out
+    assert certificate_from_json(data) == ("partial_lacunary", out)
 
 
 def test_inconclusive_to_json_fields():
@@ -234,13 +231,19 @@ def test_inconclusive_to_json_fields():
     assert isinstance(data["reason"], str) and data["reason"]
 
 
-def test_object_from_json_rejections():
-    with pytest.raises(ValueError):
-        object_from_json({"kind": "wat"})
-    with pytest.raises(ValueError):
-        object_from_json({"window": [0, 1]})
-    with pytest.raises(ValueError):
-        object_from_json(7)
+def test_certificate_from_json_rejections():
+    with pytest.raises(ValueError, match="unknown certificate kind"):
+        certificate_from_json({"kind": "wat"})
+    with pytest.raises(ValueError, match="unrecognized certificate JSON shape"):
+        certificate_from_json({"window": [0, 1]})
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        certificate_from_json(7)
+    # a kind that is no string is an unknown kind, not a TypeError
+    for data in ({"kind": ["x"]}, {"kind": 3}, {"kind": {}}):
+        with pytest.raises(ValueError, match="unknown certificate kind"):
+            certificate_from_json(data)
+    with pytest.raises(ValueError, match="unrecognized certificate JSON shape"):
+        certificate_from_json({"kind": None, "window": [0, 1]})
 
 
 def test_split_result_reads_as_a_dimension_certificate():
@@ -249,8 +252,8 @@ def test_split_result_reads_as_a_dimension_certificate():
     pieces = split_lacunary(op, seq, w)
     data = split_result_to_json(w, pieces)
     assert data["kind"] == "split_result"
-    assert split_result_from_json(data) == DimensionCertificate(8, w, pieces)
-    assert split_result_from_json(split_result_to_json(w, [])) is None
+    assert certificate_from_json(data) == ("split_result", DimensionCertificate(8, w, pieces))
+    assert certificate_from_json(split_result_to_json(w, [])) == ("split_result", None)
     piece = finite_solution_to_json(pieces[0])
     for bad in (
         {"window": "garbage", "pieces": [piece]},
@@ -258,7 +261,7 @@ def test_split_result_reads_as_a_dimension_certificate():
         {"window": [0, 1000], "pieces": [piece, piece]},
     ):
         with pytest.raises(ValueError):
-            split_result_from_json(bad)
+            certificate_from_json({"kind": "split_result", **bad})
 
 
 def test_dumps_canonical_is_byte_stable():
