@@ -8,7 +8,6 @@ form, and every budget-bounded search that comes up empty says
 Inconclusive rather than "no".
 """
 
-from .corpus import ZeroValueRejected
 from .engine import (
     DimensionCertificate,
     Inconclusive,
@@ -53,6 +52,14 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "ZeroValueRejected":  # only `lacunary corpus` needs the corpus at start-up
+        from .corpus import ZeroValueRejected
+        return ZeroValueRejected
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DimensionCertificate",

@@ -18,7 +18,6 @@ import re
 import sys
 from typing import Any, Optional, Sequence
 
-from . import corpus as corpus_mod
 from .engine import (
     Inconclusive,
     NotASolutionOnWindow,
@@ -189,6 +188,8 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_corpus(args) -> tuple[int, dict, list[str]]:
+    from . import corpus as corpus_mod  # here, not at the top: no other command reads it
+
     if args.name is None:
         m = manifest_to_json(corpus_mod.entries())
         text = [f"{len(m['entries'])} corpus entries:"]

@@ -11,7 +11,6 @@ its doubling-support companion sequence a ready-made lacunary solution.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .operators import (
 from .sequences import (
     GeometricSupport,
     Periodic,
+    Record,
     ResiduePolynomial,
     SequenceSpec,
     Window,
@@ -154,8 +154,7 @@ def coefficient_masks(op: OperatorSpec) -> list[ResidueMask]:
     return masks
 
 
-@dataclass(frozen=True)
-class KnownFact:
+class KnownFact(Record):
     """One executable claim about a corpus entry."""
 
     check: str
@@ -166,12 +165,11 @@ class KnownFact:
         object.__setattr__(self, "args", dict(self.args))
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     name: str
     operator: OperatorSpec
     sequence: Optional[SequenceSpec] = None
-    known_facts: tuple[KnownFact, ...] = field(default_factory=tuple)
+    known_facts: tuple[KnownFact, ...] = ()
 
 
 def run_known_fact(entry: CorpusEntry, fact: KnownFact) -> tuple[bool, Any]:

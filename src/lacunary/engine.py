@@ -24,7 +24,6 @@ finite-dimensional; these are semi-algorithms by nature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -35,7 +34,7 @@ from .operators import (
     is_global_solution_finite,
     residual,
 )
-from .sequences import ZERO, FiniteTable, SequenceSpec, Window, support_in_window
+from .sequences import ZERO, FiniteTable, Record, SequenceSpec, Window, support_in_window
 
 __all__ = [
     "DimensionCertificate",
@@ -66,8 +65,7 @@ class NotASolutionOnWindow(Exception):
         self.value = value
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     """Budget exhausted without a witness; not a negative answer.
 
     best_kernel_dim: the disjoint solutions certify found (a bound dim >= it).
@@ -78,8 +76,7 @@ class Inconclusive:
     best_gap: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DimensionCertificate:
+class DimensionCertificate(Record):
     """k verified finite-support solutions with pairwise disjoint supports.
 
     Disjoint supports make the solutions linearly independent, so a valid
@@ -108,8 +105,7 @@ class DimensionCertificate:
             seen |= supp
 
 
-@dataclass(frozen=True)
-class PartialLacunarySolution:
+class PartialLacunarySolution(Record):
     """Finite-support blocks with strictly growing gaps along one ray.
 
     Blocks are listed in construction order: ascending supports on the

@@ -4,8 +4,8 @@ Every wire format lives here, certificates and the corpus manifest
 included: the command line calls these readers and writers and holds no
 format of its own.  Certificates have one reader, certificate_from_json,
 which returns the kind with the object, so the kind strings live here
-only.  A missing key, or an unknown key in a sequence spec or an
-operator, is an error that names the object and the key.
+only.  A missing key, or an unknown key in any object but a finite solution
+(read thousands of times per certificate), names the object and the key.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), sequence specs carry a "kind" discriminator, and dumps_canonical
 fixes key order and indentation so identical inputs give byte-identical
@@ -257,9 +257,9 @@ def finite_solution_to_json(x: FiniteSolution) -> dict:
 def finite_solution_from_json(data: Any) -> FiniteSolution:
     if not isinstance(data, dict):
         raise ValueError("finite solution JSON must be an object")
-    return FiniteSolution(
-        anchor=_int(_key(data, "anchor", "finite solution"), "anchor"),
-        values=_list(_key(data, "values", "finite solution"), "values", parse_rational),
+    return FiniteSolution(  # positional: binding keywords costs more, once per solution
+        _int(_key(data, "anchor", "finite solution"), "anchor"),
+        _list(_key(data, "values", "finite solution"), "values", parse_rational),
     )
 
 
@@ -278,6 +278,7 @@ def kernel_basis_to_json(kb: KernelBasis) -> dict:
 
 
 def _kernel_basis_from_json(data: dict) -> KernelBasis:
+    _only_keys(data, ("window", "vectors"), "kernel_basis")
     w = _window_from_json(_key(data, "window", "kernel_basis"))
 
     def solution(vec: Any) -> FiniteSolution:
@@ -303,6 +304,7 @@ def dimension_certificate_to_json(cert: DimensionCertificate) -> dict:
 
 def _dimension_certificate_from_json(data: dict) -> DimensionCertificate:
     what = "dimension_certificate"
+    _only_keys(data, ("kind", "k", "window", "solutions"), what)
     return DimensionCertificate(
         k=_int(_key(data, "k", what), "k"),
         window=_window_from_json(_key(data, "window", what)),
@@ -321,6 +323,7 @@ def partial_lacunary_to_json(partial: PartialLacunarySolution) -> dict:
 
 def _partial_lacunary_from_json(data: dict) -> PartialLacunarySolution:
     what = "partial_lacunary"
+    _only_keys(data, ("kind", "ray", "blocks", "gap_profile"), what)
     return PartialLacunarySolution(
         blocks=_list(_key(data, "blocks", what), "blocks", finite_solution_from_json),
         gap_profile=_list(
@@ -344,6 +347,7 @@ def _split_result_from_json(data: dict) -> Optional[DimensionCertificate]:
     The pieces must lie inside the window, pairwise disjoint, as for any
     dimension certificate.  An empty split certifies nothing.
     """
+    _only_keys(data, ("kind", "window", "pieces"), "split_result")
     pieces = _list(_key(data, "pieces", "split_result"), "pieces", finite_solution_from_json)
     window = _window_from_json(_key(data, "window", "split_result"))
     return DimensionCertificate(len(pieces), window, pieces) if pieces else None
@@ -391,8 +395,8 @@ def manifest_to_json(entries: Sequence[CorpusEntry]) -> dict:
 def certificate_from_json(data: Any) -> tuple[str, Any]:
     """Any certificate's kind and engine object, dispatching on 'kind' or shape.
 
-    A kernel basis serializes without a 'kind' tag (its two-field shape is
-    its signature), so shape detection keeps round trips working.  A split
+    A kernel basis serializes without a 'kind' tag, so an object with no
+    'kind' key but a 'window' or 'vectors' key reads as one.  A split
     reads as the DimensionCertificate of its pieces, or None if it has none.
     """
     if not isinstance(data, dict):
@@ -406,7 +410,7 @@ def certificate_from_json(data: Any) -> tuple[str, Any]:
         return kind, _split_result_from_json(data)
     if kind is not None:
         raise ValueError(f"unknown certificate kind: {kind!r}")
-    if "vectors" in data and "window" in data:
+    if "kind" not in data and ("window" in data or "vectors" in data):
         return "kernel_basis", _kernel_basis_from_json(data)
     raise ValueError("unrecognized certificate JSON shape")
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,7 +42,7 @@ from .operators import (
     is_global_solution_finite,
     window_matrix,
 )
-from .sequences import Window
+from .sequences import Record, Window
 
 __all__ = [
     "KernelBasis",
@@ -158,8 +157,7 @@ def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]
     return len(pivots), basis
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(Record):
     """Basis of the global solutions supported inside a window."""
 
     window: Window

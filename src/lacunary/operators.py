@@ -17,7 +17,6 @@ disjointness certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +24,7 @@ from .sequences import (
     ZERO,
     FiniteTable,
     Periodic,
+    Record,
     ResiduePolynomial,
     SequenceSpec,
     Window,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Record):
     """Difference operator given by its coefficient sequences a_0 .. a_r."""
 
     coeffs: tuple[SequenceSpec, ...]
@@ -60,8 +59,7 @@ class OperatorSpec:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class FiniteSolution:
+class FiniteSolution(Record):
     """Finite-support sequence as a tightly anchored value table.
 
     The table must start and end with a nonzero entry, so support bounds
@@ -181,8 +179,7 @@ class MaskViolation(Exception):
         self.n = n
 
 
-@dataclass(frozen=True)
-class ResidueMask:
+class ResidueMask(Record):
     """Residue classes mod `modulus` on which a sequence may be nonzero.
 
     An empty `allowed` set denotes the identically zero sequence.
@@ -209,8 +206,7 @@ class ResidueMask:
         return n % self.modulus in self.allowed
 
 
-@dataclass(frozen=True)
-class ResidueCertificate:
+class ResidueCertificate(Record):
     """Outcome of residue-class disjointness certification.
 
     `certified` True means: for every coefficient index k there is no pair

@@ -14,12 +14,16 @@ description kinds are supported:
 
 All values are `fractions.Fraction`; floats are rejected so that every
 downstream computation stays exact.
+
+Every value type of the library is a :class:`Record`, not a frozen
+dataclass: each ``lacunary`` command is a fresh process, and importing
+`dataclasses` and generating its methods took a third of start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -59,8 +63,62 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-@dataclass(frozen=True)
-class Window:
+_set = object.__setattr__
+
+
+class Record:
+    """Frozen value whose fields are its class's own annotations, in order.
+
+    A class attribute named like a field is its default.  After binding the
+    arguments, ``__post_init__`` may normalize a field with ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        # never self.__dict__: materializing it slows every later attribute read
+        fields = self._fields
+        for key, value in zip(fields, args):
+            _set(self, key, value)
+        if len(args) != len(fields) or kwargs:  # the rest by keyword, else by default
+            for key in fields[len(args):]:
+                if key in kwargs:
+                    _set(self, key, kwargs.pop(key))
+                elif key in self._defaults:
+                    _set(self, key, self._defaults[key])
+                else:
+                    raise TypeError(f"{type(self).__name__}() missing argument {key!r}")
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() got surplus or unknown arguments")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Window(Record):
     """Inclusive integer interval [lo, hi]."""
 
     lo: int
@@ -80,8 +138,7 @@ class Window:
         return range(self.lo, self.hi + 1)
 
 
-@dataclass(frozen=True)
-class SupportProfile:
+class SupportProfile(Record):
     """Sorted nonzero indices of a sequence on a window, plus their gaps.
 
     ``gaps[i] = indices[i+1] - indices[i]``; a sequence with fewer than two
@@ -105,8 +162,7 @@ class SupportProfile:
         return max(self.gaps, default=0)
 
 
-@dataclass(frozen=True)
-class FiniteTable:
+class FiniteTable(Record):
     """Explicit values on ``[anchor, anchor + len(values) - 1]``, `default` elsewhere."""
 
     anchor: int
@@ -126,8 +182,7 @@ class FiniteTable:
         return self.default
 
 
-@dataclass(frozen=True)
-class Periodic:
+class Periodic(Record):
     """Periodic sequence: value at n is ``values[(n - offset) % period]``."""
 
     period: int
@@ -159,8 +214,7 @@ def _eval_poly(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class ResiduePolynomial:
+class ResiduePolynomial(Record):
     """One polynomial in n per residue class mod `modulus`; absent classes are 0.
 
     Polynomials are stored as ascending coefficient tuples.  Keys are reduced
@@ -190,12 +244,7 @@ class ResiduePolynomial:
                 canon[residue % self.modulus] = coeffs
         object.__setattr__(self, "per_class", canon)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResiduePolynomial):
-            return NotImplemented
-        return self.modulus == other.modulus and dict(self.per_class) == dict(other.per_class)
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # per_class is a dict
         return hash((self.modulus, tuple(sorted(self.per_class.items()))))
 
     def value_at(self, n: int) -> Fraction:
@@ -205,8 +254,7 @@ class ResiduePolynomial:
         return _eval_poly(poly, n)
 
 
-@dataclass(frozen=True)
-class GeometricSupport:
+class GeometricSupport(Record):
     """`value` on the index set ``scale * 2**m + shift``, zero elsewhere.
 
     By default m ranges over the non-negative integers.  With

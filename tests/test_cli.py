@@ -447,6 +447,7 @@ READERS = [
     ("verify", "certificate", "split_result", {
         "kind": "split_result", "window": [0, 6], "pieces": [ONE_POINT],
     }),
+    ("verify", "certificate", "kernel_basis", {"window": [1, 1], "vectors": [["1/1"]]}),
 ]
 MISSING_KEYS = [
     (command, role, name, {k: v for k, v in obj.items() if k != key}, key)
@@ -474,13 +475,15 @@ def test_missing_key_names_key_and_object(command, role, name, data, key):
     assert err == f"error: {name} has no key {key!r}\n"
 
 
-# unchecked, a misspelled optional key would silently take its default
+# unchecked, a misspelled optional key would silently take its default, and
+# an extra certificate key would be ignored by a valid verdict
 UNKNOWN_KEYS = [
     (command, role, name, {**obj, key: value}, key)
     for (command, role, name, obj), (key, value) in zip(
-        READERS[:5],
+        READERS,
         [("ordr", 0), ("defualt", "1/1"), ("ofset", 1), ("per_classes", {}),
-         ("allow_negativ_m", True)],
+         ("allow_negativ_m", True)] + [("zzz", 1)] * 4,
+        strict=True,
     )
 ]
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lacunary import (
     FiniteTable,
     GeometricSupport,
+    OperatorSpec,
     Periodic,
     ResiduePolynomial,
     SupportProfile,
@@ -16,6 +17,7 @@ from lacunary import (
     lacunarity_witness,
     support_in_window,
 )
+from lacunary.corpus import CorpusEntry
 
 from .strategies import sequence_specs, windows
 
@@ -189,3 +191,57 @@ def test_lacunarity_witness_monotone(spec, w, min_gap):
         assert lacunarity_witness(spec, bigger, min_gap)
         if min_gap > 1:
             assert lacunarity_witness(spec, w, min_gap - 1)
+
+
+def test_record_is_frozen():
+    w = Window(0, 1)
+    with pytest.raises(AttributeError):
+        w.lo = 5
+    with pytest.raises(AttributeError):
+        del w.hi
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    assert (w.lo, w.hi) == (0, 1)
+
+
+def test_record_equality_and_hash():
+    assert Window(0, 1) == Window(0, 1)
+    assert Window(0, 1) != Window(0, 2)
+    # equal only within one class, never to the tuple of its fields
+    assert Window(0, 1) != (0, 1)
+    assert SupportProfile((0, 1), (1,)) != Window(0, 1)
+    assert hash(Window(0, 1)) == hash(Window(0, 1))
+    assert {Window(0, 1), Window(0, 1), Window(0, 2)} == {Window(0, 2), Window(0, 1)}
+    # ResiduePolynomial compares and hashes its canonical classes
+    a = ResiduePolynomial(3, {4: (1,), 2: (0,)})
+    b = ResiduePolynomial(3, {1: (Fraction(1),)})
+    assert a == b and hash(a) == hash(b)
+
+
+def test_record_repr():
+    assert repr(Window(0, 1)) == "Window(lo=0, hi=1)"
+    assert repr(Periodic(1, (1,))) == "Periodic(period=1, values=(Fraction(1, 1),), offset=0)"
+
+
+def test_record_arguments():
+    assert Window(hi=1, lo=0) == Window(0, 1) == Window(0, hi=1)
+    for args, kwargs in [((0,), {}), ((0, 1, 2), {}), ((0, 1), {"lo": 0}), ((0, 1), {"x": 1})]:
+        with pytest.raises(TypeError):
+            Window(*args, **kwargs)
+
+
+def test_record_defaults():
+    assert Periodic(2, (1, 0)).offset == 0
+    g = GeometricSupport(3)
+    assert (g.shift, g.value, g.allow_negative_m) == (0, 1, False)
+    entry = CorpusEntry("e", OperatorSpec((Periodic.constant(1),)))
+    assert entry.sequence is None and entry.known_facts == ()
+
+
+def test_record_post_init_still_validates():
+    with pytest.raises(ValueError):
+        Window(2, 1)
+    with pytest.raises(TypeError):
+        Window(0, "1")
+    # __post_init__ normalizes through object.__setattr__
+    assert Periodic(1, ("1/2",)).values == (Fraction(1, 2),)
