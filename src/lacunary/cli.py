@@ -79,11 +79,13 @@ def _parse_window(text: str) -> Window:
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     # json's default keeps the last of two equal keys, silently dropping one
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r} in a JSON object")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
     return obj
 
 

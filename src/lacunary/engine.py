@@ -25,7 +25,9 @@ finite-dimensional; these are semi-algorithms by nature.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import islice
+from operator import eq
+from typing import Iterable, Optional, Sequence, Union
 
 from .linalg import KernelBasis, VerificationFailure, _eliminate, finite_support_kernel
 from .operators import (
@@ -95,14 +97,21 @@ class DimensionCertificate(Record):
             raise ValueError("a dimension certificate needs k >= 1")
         if len(self.solutions) != self.k:
             raise ValueError("certificate must contain exactly k solutions")
-        seen: set[int] = set()
+        # one sorted list of every support point: disjoint iff no point repeats
+        lo, hi = self.window.lo, self.window.hi
+        points: list[int] = []
+        leaves = False
         for s in self.solutions:
-            if s.min_support < self.window.lo or s.max_support > self.window.hi:
-                raise ValueError("solution support leaves the certificate window")
-            supp = s.support_set()
-            if seen & supp:
-                raise ValueError("solution supports are not pairwise disjoint")
-            seen |= supp
+            anchor, values = s.anchor, s.values
+            if anchor < lo or anchor + len(values) - 1 > hi:
+                leaves = True
+                break  # an overlap among the solutions before it is reported first
+            points += [anchor + i for i, v in enumerate(values) if v]
+        points.sort()
+        if any(map(eq, points, islice(points, 1, None))):
+            raise ValueError("solution supports are not pairwise disjoint")
+        if leaves:
+            raise ValueError("solution support leaves the certificate window")
 
 
 class PartialLacunarySolution(Record):
@@ -357,9 +366,33 @@ def build_lacunary(
     )
 
 
+def _first_non_solution(
+    op: OperatorSpec, solutions: Iterable[FiniteSolution]
+) -> Optional[FiniteSolution]:
+    """The first of the solutions that fails L x = 0, or None if all pass.
+
+    Each is checked by the complete finite check, is_global_solution_finite.
+    If the coefficients have a common period p, L commutes with translation
+    by p, so a translate by a multiple of p solves L exactly when the
+    original does: one check per (anchor mod p, values) class decides them
+    all.  Without a period every solution is checked.
+    """
+    p = op.period
+    if p is None:
+        return next((s for s in solutions if not is_global_solution_finite(op, s)), None)
+    passed: set[tuple[int, tuple[Fraction, ...]]] = set()
+    for s in solutions:
+        key = (s.anchor % p, s.values)
+        if key not in passed:
+            if not is_global_solution_finite(op, s):
+                return s
+            passed.add(key)
+    return None
+
+
 def verify_dimension_certificate(op: OperatorSpec, cert: DimensionCertificate) -> bool:
     """Re-check a certificate against an operator from first principles."""
-    return all(is_global_solution_finite(op, s) for s in cert.solutions)
+    return _first_non_solution(op, cert.solutions) is None
 
 
 class _SparseSum(dict):
@@ -371,7 +404,7 @@ class _SparseSum(dict):
 
 def verify_partial_lacunary(op: OperatorSpec, partial: PartialLacunarySolution) -> bool:
     """Re-check every block and their sum, read from the disjoint blocks."""
-    if not all(is_global_solution_finite(op, b) for b in partial.blocks):
+    if _first_non_solution(op, partial.blocks) is not None:
         return False
     total = _SparseSum((b.anchor + i, v) for b in partial.blocks for i, v in enumerate(b.values))
     cw, r = partial.covered_window(), op.order
@@ -384,7 +417,7 @@ def verify_partial_lacunary(op: OperatorSpec, partial: PartialLacunarySolution) 
 
 def verify_kernel_basis(op: OperatorSpec, basis: KernelBasis) -> bool:
     """Re-check a kernel basis: genuine solutions, linearly independent."""
-    if not all(is_global_solution_finite(op, s) for s in basis.solutions):
+    if _first_non_solution(op, basis.solutions) is not None:
         return False
     w = basis.window
     pivots = _eliminate([(s.anchor - w.lo, s.values) for s in basis.solutions], w.size)

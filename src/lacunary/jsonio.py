@@ -114,7 +114,7 @@ def _int(value: Any, what: str) -> int:
 def _list(value: Any, what: str, parse: Callable[[Any], Any]) -> tuple:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, got {value!r}")
-    return tuple(parse(v) for v in value)
+    return tuple(map(parse, value))
 
 
 def _bool(value: Any, what: str) -> bool:

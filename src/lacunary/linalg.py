@@ -67,7 +67,7 @@ class WindowTooSmall(Exception):
 def _normalize(values: list[Fraction]) -> tuple[int, ...]:
     # Integer entries, content 1, first entry (nonzero) positive.
     scale = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     g = math.gcd(*ints)
     if ints[0] < 0:
         g = -g
@@ -79,13 +79,13 @@ def _eliminate(rows: Sequence[BandRow], ncols: int) -> dict[int, list[int]]:
     # by_start[c]: integer rows whose first nonzero lies in column c
     by_start: list[list[list[int]]] = [[] for _ in range(ncols)]
     for first, entries in rows:
-        fracs = [Fraction(v) for v in entries]
-        nz = [j for j, f in enumerate(fracs) if f]
+        # entries are ints or Fractions: both carry numerator and denominator
+        nz = [j for j, v in enumerate(entries) if v]
         if not nz:
             continue
-        fracs = fracs[nz[0] : nz[-1] + 1]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        by_start[first + nz[0]].append([int(f * scale) for f in fracs])
+        entries = entries[nz[0] : nz[-1] + 1]
+        scale = math.lcm(*(v.denominator for v in entries))
+        by_start[first + nz[0]].append([v.numerator * (scale // v.denominator) for v in entries])
 
     pivots: dict[int, list[int]] = {}
     for col, group in enumerate(by_start):

@@ -58,6 +58,27 @@ class OperatorSpec(Record):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def period(self) -> Optional[int]:
+        """A common period p of all coefficients, or None if not known to have one.
+
+        Each coefficient must be Periodic or a ResiduePolynomial whose classes
+        are all constants; p is the lcm of their periods and moduli.  L then
+        commutes with translation by p, so a translate of a solution by a
+        multiple of p is again a solution.
+        """
+        periods = []
+        for a in self.coeffs:
+            if isinstance(a, Periodic):
+                periods.append(a.period)
+            elif isinstance(a, ResiduePolynomial) and all(
+                len(poly) == 1 for poly in a.per_class.values()
+            ):
+                periods.append(a.modulus)
+            else:
+                return None
+        return math.lcm(*periods)
+
 
 class FiniteSolution(Record):
     """Finite-support sequence as a tightly anchored value table.
@@ -71,10 +92,11 @@ class FiniteSolution(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-        if not self.values:
+        values = tuple(map(as_fraction, self.values))
+        object.__setattr__(self, "values", values)
+        if not values:
             raise ValueError("empty value table")
-        if self.values[0] == 0 or self.values[-1] == 0:
+        if not (values[0] and values[-1]):
             raise ValueError("value table must be trimmed to its support")
 
     @classmethod
@@ -82,16 +104,11 @@ class FiniteSolution(Record):
         cls, anchor: int, values: Iterable[Fraction]
     ) -> Optional["FiniteSolution"]:
         """Trim boundary zeros; None if every value is zero."""
-        vals = [as_fraction(v) for v in values]
-        lo = 0
-        while lo < len(vals) and vals[lo] == 0:
-            lo += 1
-        if lo == len(vals):
+        vals = tuple(map(as_fraction, values))
+        nonzero = [i for i, v in enumerate(vals) if v]
+        if not nonzero:
             return None
-        hi = len(vals)
-        while vals[hi - 1] == 0:
-            hi -= 1
-        return cls(anchor + lo, tuple(vals[lo:hi]))
+        return cls(anchor + nonzero[0], vals[nonzero[0] : nonzero[-1] + 1])
 
     @property
     def min_support(self) -> int:

@@ -363,7 +363,7 @@ def test_missing_and_malformed_files(capsys, tmp_path, vanish_r2):
     assert "mangled.json" in err
 
 
-def test_duplicate_json_keys_exit_1_one_line(capsys, tmp_path):
+def test_duplicate_json_keys_exit_1_one_line(capsys, tmp_path, vanish_r2):
     # json's default reading keeps the later of two equal keys, silently
     # running on one of the two coefficients
     op = tmp_path / "duplicate_keys.json"
@@ -376,6 +376,11 @@ def test_duplicate_json_keys_exit_1_one_line(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: duplicate key '1' in a JSON object\n"
+    # of two repeated keys, the first to repeat is named
+    cert = tmp_path / "two_repeats.json"
+    cert.write_text('{"k": 1, "window": [1, 1], "window": [1, 1], "k": 1, "solutions": []}')
+    code, out, err = run(capsys, "verify", "--operator", vanish_r2, "--certificate", str(cert))
+    assert (code, out, err) == (1, "", "error: duplicate key 'window' in a JSON object\n")
 
 
 def test_non_bool_flag_exit_1(capsys, tmp_path, vanish_r2):

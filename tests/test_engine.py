@@ -13,6 +13,7 @@ from lacunary import (
     FiniteTable,
     GeometricSupport,
     Inconclusive,
+    KernelBasis,
     NotASolutionOnWindow,
     OperatorSpec,
     PartialLacunarySolution,
@@ -36,7 +37,7 @@ from lacunary.corpus import (
 from lacunary import engine as engine_mod
 from lacunary.linalg import finite_support_kernel
 
-from .oracles import dense_windowed_check, symmetric_window_certify
+from .oracles import dense_windowed_check, every_equation_check, symmetric_window_certify
 from .strategies import periodic_operators, residue_operators, sequence_specs, windows
 
 
@@ -176,6 +177,32 @@ def test_dimension_certificate_invariants():
         DimensionCertificate(2, Window(0, 1), (a, b))
     with pytest.raises(ValueError):
         DimensionCertificate(0, Window(0, 2), ())
+
+
+def test_dimension_certificate_disjointness_is_by_support_points():
+    one = (Fraction(1),)
+    pair = FiniteSolution(0, (Fraction(1), Fraction(0), Fraction(1)))  # support {0, 2}
+    # hulls [0, 2] and [1, 1] overlap, supports do not: the interior zero is no point
+    DimensionCertificate(2, Window(0, 2), (pair, FiniteSolution(1, one)))
+    DimensionCertificate(2, Window(0, 2), (FiniteSolution(1, one), pair))
+    with pytest.raises(ValueError, match="not pairwise disjoint"):
+        DimensionCertificate(2, Window(0, 2), (pair, FiniteSolution(2, one)))
+    shared = (FiniteSolution(9, one), pair, FiniteSolution(2, one))  # 2 twice, not adjacent
+    with pytest.raises(ValueError, match="not pairwise disjoint"):
+        DimensionCertificate(3, Window(0, 9), shared)
+
+
+def test_dimension_certificate_error_precedence():
+    # solutions are checked in order, each for the window and then for overlap
+    a = FiniteSolution(0, (Fraction(1),))
+    wide = FiniteSolution(0, (Fraction(1), Fraction(0), Fraction(1)))
+    far = FiniteSolution(10, (Fraction(1),))
+    with pytest.raises(ValueError, match="leaves the certificate window"):
+        DimensionCertificate(2, Window(0, 1), (a, wide))  # wide leaves and overlaps
+    with pytest.raises(ValueError, match="leaves the certificate window"):
+        DimensionCertificate(3, Window(0, 2), (far, a, a))
+    with pytest.raises(ValueError, match="not pairwise disjoint"):
+        DimensionCertificate(3, Window(0, 2), (a, a, far))
 
 
 def test_verify_dimension_certificate_catches_non_solutions():
@@ -515,3 +542,92 @@ def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
     calls.clear()
     assert verify_dimension_certificate(counted, cert)
     assert 0 < len(calls) <= k * (r + 1) * sum(1 for v in block if v) < k * (r + 1) * len(block)
+
+
+def test_translation_classes_match_the_every_equation_oracle():
+    outcomes = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(residue_operators, st.data())
+    def agrees(op, data):
+        p = op.period
+        assert p is not None  # constant residue classes
+        kernel = finite_support_kernel(op, Window(0, 12)).solutions
+        # the planted table: a tampered kernel vector, or a unit if there is none
+        planted = FiniteSolution(0, (Fraction(1),))
+        if kernel:
+            s = data.draw(st.sampled_from(kernel))
+            j = data.draw(st.integers(min_value=0, max_value=len(s.values) - 1))
+            values = list(s.values)
+            values[j] = values[j] + 1 or Fraction(2)
+            planted = FiniteSolution(s.anchor, tuple(values))
+        tables = data.draw(st.lists(st.sampled_from(kernel), max_size=12)) if kernel else []
+        at = data.draw(st.integers(min_value=0, max_value=len(tables)))
+        tables.insert(at, planted)
+        # block j starts near 16p * j(j+1)/2: a multiple of p, plus an offset below p;
+        # tables span at most 13 indices, so the gaps are disjoint and growing
+        shifts = [
+            16 * p * (j * (j + 1) // 2) + data.draw(st.sampled_from((0, 0, *range(1, p))))
+            for j in range(len(tables))
+        ]
+        with_planted = [FiniteSolution(t.anchor + d, t.values) for t, d in zip(tables, shifts)]
+        for solutions in (with_planted, with_planted[:at] + with_planted[at + 1 :]):
+            if not solutions:
+                continue
+            expected = all(every_equation_check(op, s) for s in solutions)
+            outcomes.add(expected)
+            hull = Window(solutions[0].min_support, solutions[-1].max_support)
+            cert = DimensionCertificate(len(solutions), hull, tuple(solutions))
+            assert verify_dimension_certificate(op, cert) == expected
+            assert verify_kernel_basis(op, KernelBasis(hull, tuple(solutions))) == expected
+            gaps = tuple(b.min_support - a.max_support for a, b in zip(solutions, solutions[1:]))
+            partial = PartialLacunarySolution(tuple(solutions), gaps, "positive")
+            assert verify_partial_lacunary(op, partial) == expected
+
+    agrees()
+    assert outcomes == {True, False}
+
+
+def test_every_solution_is_checked_without_a_period():
+    # a(n) x(n) = 0 with a nonzero only at 0: units solve it except the one at 0
+    op = OperatorSpec((FiniteTable(0, (Fraction(1),)),))
+    assert op.period is None
+    units = tuple(FiniteSolution(n, (Fraction(1),)) for n in (5, 3, 0, 7))
+    w = Window(0, 7)
+    assert not verify_dimension_certificate(op, DimensionCertificate(4, w, units))
+    assert not verify_kernel_basis(op, KernelBasis(w, units))
+    assert verify_dimension_certificate(op, DimensionCertificate(3, w, units[:2] + units[3:]))
+
+
+def test_one_check_per_translation_class(monkeypatch):
+    checked = []
+    original = engine_mod.is_global_solution_finite
+
+    def counting(op, x):
+        checked.append((x.anchor % 3, x.values))
+        return original(op, x)
+
+    monkeypatch.setattr(engine_mod, "is_global_solution_finite", counting)
+    op = vanish_on_multiples_operator(2)
+    assert op.period == 3
+    one, pair = (Fraction(1),), (Fraction(1), Fraction(0), Fraction(1))
+    # supports 6i + 1, {6i + 2, 6i + 4} and 6i + 5 miss the multiples of 3
+    solutions = tuple(
+        FiniteSolution(6 * i + d, values)
+        for i in range(67)
+        for d, values in ((1, one), (2, pair), (5, one))
+    )[:200]
+    classes = {(s.anchor % 3, s.values) for s in solutions}
+    assert len(classes) == 3
+    w = Window(1, solutions[-1].max_support)
+    assert verify_dimension_certificate(op, DimensionCertificate(200, w, solutions))
+    assert sorted(checked) == sorted(classes)
+    checked.clear()
+    assert verify_kernel_basis(op, KernelBasis(w, solutions))
+    assert sorted(checked) == sorted(classes)
+    # the first failure ends the check: one call per class up to it
+    checked.clear()
+    bad = solutions[:100] + (FiniteSolution(6 * 70, one),) + solutions[100:]
+    w = Window(1, 6 * 70)
+    assert not verify_dimension_certificate(op, DimensionCertificate(201, w, bad))
+    assert sorted(checked) == sorted(classes | {(0, one)})

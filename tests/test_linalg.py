@@ -55,6 +55,15 @@ def test_rank_and_nullspace_basics():
     assert basis == [(0, (1,)), (1, (1,))]
 
 
+def test_int_and_fraction_entries_scale_alike():
+    # rows are scaled to integers through numerator and denominator, which ints have too
+    rows = [[3, -6, 0, 9], [Fraction(1, 2), 0, Fraction(-2, 3), 1]]
+    expected = dense_nullspace(frac_matrix(rows))
+    assert dense_nullspace(rows) == expected
+    assert dense_nullspace([tuple(row) for row in rows]) == expected
+    assert expected[0] == 2
+
+
 def test_nullspace_is_canonical():
     # integer entries, content 1, positive leading entry
     _, basis = dense_nullspace(frac_matrix([[2, 4], [0, 0]]))

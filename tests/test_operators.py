@@ -87,6 +87,37 @@ def test_finite_solution_from_values_trims():
     assert FiniteSolution.from_values(5, (Fraction(0), Fraction(0))) is None
 
 
+def test_operator_period():
+    def period(*coeffs):
+        return OperatorSpec(coeffs).period
+
+    assert period(Periodic(3, (1, 2, 3), offset=1)) == 3
+    assert period(ResiduePolynomial(4, {1: (5,), 3: (-1,)})) == 4
+    assert period(ResiduePolynomial(2, {1: (3, 0)})) == 2  # canonically constant
+    assert period(ResiduePolynomial(5, {})) == 5  # identically zero
+    mixed = (Periodic(4, (1, 0, 0, 2)), ResiduePolynomial(6, {0: (1,)}), Periodic.constant(7))
+    assert period(*mixed) == 12
+    assert vanish_on_multiples_operator(2).period == 3
+    assert period(Periodic(2, (1, 1)), FiniteTable(0, (1,))) is None
+    assert period(Periodic(2, (1, 1)), GeometricSupport(3)) is None
+    assert period(ResiduePolynomial(3, {0: (1,), 1: (0, 1)})) is None  # a class of degree 1
+    assert fibonacci_operator().period == zero_operator().period == 1  # constant
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_operators)
+def test_operator_period_is_a_period_of_every_coefficient(op):
+    p = op.period
+    if p is None:
+        assert any(
+            isinstance(a, ResiduePolynomial) and any(len(c) > 1 for c in a.per_class.values())
+            for a in op.coeffs
+        )
+        return
+    for a in op.coeffs:
+        assert all(a.value_at(n + p) == a.value_at(n) for n in range(-2 * p, 2 * p))
+
+
 def test_window_matrix_fibonacci_frozen():
     fib = fibonacci_operator()
     rows = window_matrix(fib, Window(0, 2))
