@@ -32,9 +32,9 @@ print("residue poly:", [squares_on_evens.value_at(n) for n in range(-2, 5)])
 
 # Support at 3 * 2^m + 1: the gaps between nonzero entries keep doubling.
 doubling = GeometricSupport(scale=3, shift=1, value=Fraction(1))
-profile = support_in_window(doubling, Window(0, 1000))
-print("doubling support points:", profile.indices)
-print("gaps between them:      ", profile.gaps)
+points = support_in_window(doubling, Window(0, 1000))
+print("doubling support points:", points)
+print("gaps between them:      ", tuple(b - a for a, b in zip(points, points[1:])))
 
 # An operator is a list of coefficient sequences; residual(op, x, n) is
 # sum_k a_k(n) x(n+k), the amount by which x fails the equation at n.

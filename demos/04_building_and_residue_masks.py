@@ -28,8 +28,9 @@ print("block anchors:", [b.anchor for b in out.blocks])
 print("gap profile:  ", out.gap_profile)
 print("verifies:     ", verify_partial_lacunary(op, out))
 
-assembled = out.assembled()
-print("assembled support:", support_in_window(assembled, out.covered_window()).indices)
+points = support_in_window(out.assembled(), out.covered_window())
+print("assembled support:", points)
+print("its gaps:         ", tuple(b - a for a, b in zip(points, points[1:])))
 
 # A budget too small to fit the requested gap reports Inconclusive
 # rather than guessing.

@@ -34,6 +34,7 @@ from .operators import (
     OperatorSpec,
     ResidueCertificate,
     ResidueMask,
+    first_residual,
     is_global_solution_finite,
     residual,
     residue_certificate,
@@ -44,7 +45,6 @@ from .sequences import (
     GeometricSupport,
     Periodic,
     ResiduePolynomial,
-    SupportProfile,
     Window,
     as_fraction,
     lacunarity_witness,
@@ -52,13 +52,6 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name == "ZeroValueRejected":  # only `lacunary corpus` needs the corpus at start-up
-        from .corpus import ZeroValueRejected
-        return ZeroValueRejected
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -76,15 +69,14 @@ __all__ = [
     "ResidueCertificate",
     "ResidueMask",
     "ResiduePolynomial",
-    "SupportProfile",
     "VerificationFailure",
     "Window",
     "WindowTooSmall",
-    "ZeroValueRejected",
     "as_fraction",
     "build_lacunary",
     "certify_dimension",
     "finite_support_kernel",
+    "first_residual",
     "free_kernel_dim",
     "is_global_solution_finite",
     "lacunarity_witness",

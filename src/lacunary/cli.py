@@ -95,6 +95,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _positive(value: int, name: str) -> int:
@@ -147,10 +149,7 @@ def _cmd_split(args) -> tuple[int, dict, list[str]]:
     op = operator_from_json(_load_json(args.operator))
     seq = sequence_from_json(_load_json(args.sequence))
     w = _parse_window(args.window)
-    max_pieces = args.max_pieces
-    if max_pieces is not None:
-        max_pieces = _positive(max_pieces, "max-pieces")
-    pieces = split_lacunary(op, seq, w, max_pieces)
+    pieces = split_lacunary(op, seq, w)
     if not pieces:
         text = ["no cuts: no piece has enough flanking zeros inside the window"]
     else:
@@ -233,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("certify", "prove a lower bound on the solution space dimension")
     p.add_argument("--k", required=True, type=int, metavar="INT")
     p.add_argument("--budget", type=int, default=1000, metavar="INT")
-    p = add("split", "cut a windowed solution at long zero runs", sequence=True, window=True)
-    p.add_argument("--max-pieces", type=int, default=None, metavar="INT")
+    add("split", "cut a windowed solution at long zero runs", sequence=True, window=True)
     p = add("build", "assemble a solution with ever-growing support gaps")
     p.add_argument("--gap", required=True, type=int, metavar="INT")
     p.add_argument("--budget", type=int, default=1000, metavar="INT")

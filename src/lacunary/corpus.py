@@ -33,14 +33,12 @@ from .sequences import (
     ResiduePolynomial,
     SequenceSpec,
     Window,
-    as_fraction,
     lacunarity_witness,
 )
 
 __all__ = [
     "CorpusEntry",
     "KnownFact",
-    "ZeroValueRejected",
     "coefficient_masks",
     "entries",
     "fibonacci_operator",
@@ -53,35 +51,18 @@ __all__ = [
 ]
 
 
-class ZeroValueRejected(Exception):
-    """A zero coefficient value would silently weaken the known facts."""
-
-
-def vanish_on_multiples_operator(
-    r: int, values: Optional[Sequence[Fraction]] = None
-) -> OperatorSpec:
+def vanish_on_multiples_operator(r: int) -> OperatorSpec:
     """Operator of order r whose solutions vanish exactly on multiples of r+1.
 
-    Coefficient k is supported on the single residue class n = -k mod r+1,
-    so each equation instance reads values[k] * x(m) = 0 for one index m
+    Coefficient k is 1 on the single residue class n = -k mod r+1 and 0
+    elsewhere, so each equation instance reads x(m) = 0 for one index m
     divisible by r+1, and every index not divisible by r+1 is left free.
     The solution space is spanned by the unit sequences at those free
     indices, hence infinite-dimensional.
     """
     if r < 1:
         raise ValueError("order must be at least 1")
-    if values is None:
-        vals = [Fraction(1)] * (r + 1)
-    else:
-        vals = [as_fraction(v) for v in values]
-        if len(vals) != r + 1:
-            raise ValueError(f"need {r + 1} values, got {len(vals)}")
-    for k, v in enumerate(vals):
-        if v == 0:
-            raise ZeroValueRejected(f"value for coefficient {k} is zero")
-    coeffs = tuple(
-        ResiduePolynomial(r + 1, {(-k) % (r + 1): (vals[k],)}) for k in range(r + 1)
-    )
+    coeffs = tuple(ResiduePolynomial(r + 1, {(-k) % (r + 1): (1,)}) for k in range(r + 1))
     return OperatorSpec(coeffs)
 
 

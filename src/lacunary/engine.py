@@ -27,15 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from operator import eq
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .linalg import KernelBasis, VerificationFailure, _eliminate, finite_support_kernel
-from .operators import (
-    FiniteSolution,
-    OperatorSpec,
-    is_global_solution_finite,
-    residual,
-)
+from .operators import FiniteSolution, OperatorSpec, first_residual, is_global_solution_finite
 from .sequences import ZERO, FiniteTable, Record, SequenceSpec, Window, support_in_window
 
 __all__ = [
@@ -43,8 +38,6 @@ __all__ = [
     "Inconclusive",
     "NotASolutionOnWindow",
     "PartialLacunarySolution",
-    "RAY_NEGATIVE",
-    "RAY_POSITIVE",
     "build_lacunary",
     "certify_dimension",
     "split_lacunary",
@@ -53,10 +46,6 @@ __all__ = [
     "verify_partial_lacunary",
     "windowed_residual_check",
 ]
-
-RAY_POSITIVE = "positive"
-RAY_NEGATIVE = "negative"
-
 
 class NotASolutionOnWindow(Exception):
     """The sequence fails the equation at some fully-windowed index."""
@@ -114,6 +103,12 @@ class DimensionCertificate(Record):
             raise ValueError("solution support leaves the certificate window")
 
 
+def _along(s: FiniteSolution, d: int) -> tuple[int, int]:
+    """Where s starts and ends along the ray of sign d, in the coordinate d * n."""
+    a, b = d * s.min_support, d * s.max_support
+    return min(a, b), max(a, b)
+
+
 class PartialLacunarySolution(Record):
     """Finite-support blocks with strictly growing gaps along one ray.
 
@@ -133,18 +128,15 @@ class PartialLacunarySolution(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "gap_profile", tuple(self.gap_profile))
-        if self.ray not in (RAY_POSITIVE, RAY_NEGATIVE):
+        if self.ray not in ("positive", "negative"):  # read from JSON, so maybe unhashable
             raise ValueError(f"unknown ray: {self.ray!r}")
         if not self.blocks:
             raise ValueError("need at least one block")
         if len(self.gap_profile) != len(self.blocks) - 1:
             raise ValueError("gap profile length must be block count minus 1")
+        d = 1 if self.ray == "positive" else -1
         for i, gap in enumerate(self.gap_profile):
-            prev, nxt = self.blocks[i], self.blocks[i + 1]
-            if self.ray == RAY_POSITIVE:
-                actual = nxt.min_support - prev.max_support
-            else:
-                actual = prev.min_support - nxt.max_support
+            actual = _along(self.blocks[i + 1], d)[0] - _along(self.blocks[i], d)[1]
             if gap != actual:
                 raise ValueError(f"gap_profile[{i}] = {gap} but blocks are {actual} apart")
             if gap < i + 2:
@@ -169,7 +161,7 @@ class PartialLacunarySolution(Record):
         return FiniteTable(w.lo, tuple(values))
 
 
-def windowed_residual_check(op: OperatorSpec, x: SequenceSpec, w: Window) -> None:
+def windowed_residual_check(op: OperatorSpec, x: SequenceSpec, w: Window) -> tuple[int, ...]:
     """Verify the equation at every index whose terms all lie inside w.
 
     Checks residual(op, x, n) = 0 for n in [w.lo, w.hi - r], the equations
@@ -177,19 +169,13 @@ def windowed_residual_check(op: OperatorSpec, x: SequenceSpec, w: Window) -> Non
     the window.  Raises NotASolutionOnWindow at the first failure.  An
     equation with no support point among its terms multiplies zeros only:
     it is skipped, so the check is complete and fails where a scan would.
+    Returns the support of x in w, which the check walked.
     """
-    _check_near_support(op, x, w, support_in_window(x, w).indices)
-
-
-def _check_near_support(op: OperatorSpec, x, w: Window, support: Sequence[int]) -> None:
-    # equation n reads x(n) .. x(n + r), so only n in [s - r, s] can fail
-    nxt, last = w.lo, w.hi - op.order
-    for s in support:
-        for n in range(max(s - op.order, nxt), min(s, last) + 1):
-            value = residual(op, x, n)
-            if value != 0:
-                raise NotASolutionOnWindow(n, value)
-        nxt = min(s, last) + 1
+    support = support_in_window(x, w)
+    failure = first_residual(op, x, support, w.lo, w.hi - op.order)
+    if failure:
+        raise NotASolutionOnWindow(*failure)
+    return support
 
 
 def certify_dimension(
@@ -212,7 +198,7 @@ def certify_dimension(
     used: set[int] = set()
     edge = -budget
     while len(taken) < k:
-        candidates = _first_blocks(op, RAY_POSITIVE, edge, budget, widen=True)
+        candidates = _first_blocks(op, 1, edge, budget, widen=True)
         if not candidates:
             return Inconclusive(
                 reason=f"no {k} disjoint solutions within budget {budget}",
@@ -228,12 +214,7 @@ def certify_dimension(
     return DimensionCertificate(k, hull, tuple(taken))
 
 
-def split_lacunary(
-    op: OperatorSpec,
-    x: SequenceSpec,
-    w: Window,
-    max_pieces: Optional[int] = None,
-) -> list[FiniteSolution]:
+def split_lacunary(op: OperatorSpec, x: SequenceSpec, w: Window) -> list[FiniteSolution]:
     """Cut a windowed solution at its long zero runs into verified pieces.
 
     After the windowed residual check passes, the support of x inside w is
@@ -242,14 +223,10 @@ def split_lacunary(
     inside the window (segments flush against a window edge are dropped:
     their completeness cannot be checked).  Qualifying pieces are genuine
     global solutions with pairwise disjoint supports, returned leftmost
-    first, at most max_pieces of them (None means no cap).  An empty list
-    means no cut qualified, which is not an error.
+    first.  An empty list means no cut qualified, which is not an error.
     """
-    if max_pieces is not None and max_pieces < 1:
-        raise ValueError("max_pieces must be positive")
     r = op.order
-    support = support_in_window(x, w).indices
-    _check_near_support(op, x, w, support)
+    support = windowed_residual_check(op, x, w)
     if not support:
         return []
 
@@ -275,32 +252,28 @@ def split_lacunary(
                 f"piece anchored at {lo} fails residual re-verification"
             )
         pieces.append(piece)
-        if max_pieces is not None and len(pieces) == max_pieces:
-            break
     return pieces
 
 
 def _first_blocks(
-    op: OperatorSpec, ray: str, edge: int, budget: int, widen: bool = False
+    op: OperatorSpec, d: int, edge: int, budget: int, widen: bool = False
 ) -> tuple[FiniteSolution, ...]:
     """The verified solutions of the first window from edge that holds one.
 
-    Windows anchored at edge double along the ray from width r + 1, clipped
-    to [-budget, budget]; empty if a clipped window holds no solution or
-    |edge| > budget.  On the positive ray the earliest-ending basis vector
-    is the earliest-ending solution overall: the vector of free column f
-    ends at f, any solution ends at its last free column with a nonzero
-    coefficient, and smaller windows held none.  widen returns the window
-    one doubling further, so solutions straddling that one are in it too.
+    Windows anchored at edge double along the ray of sign d from width
+    r + 1, clipped to [-budget, budget]; empty if a clipped window holds no
+    solution or |edge| > budget.  On the positive ray the earliest-ending
+    basis vector is the earliest-ending solution overall: the vector of free
+    column f ends at f, any solution ends at its last free column with a
+    nonzero coefficient, and smaller windows held none.  widen returns the
+    window one doubling further, so solutions straddling that one are in it
+    too.
     """
     if abs(edge) > budget:
         return ()
     width = op.order + 1
     while True:
-        if ray == RAY_POSITIVE:
-            lo, hi = edge, min(edge + width - 1, budget)
-        else:
-            lo, hi = max(edge - width + 1, -budget), edge
+        lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
         solutions = finite_support_kernel(op, Window(lo, hi)).solutions
         if hi - lo + 1 < width or (solutions and not widen):
             return solutions
@@ -328,31 +301,21 @@ def build_lacunary(
         raise ValueError("budget must be positive")
     best_gap = 0
 
-    for ray in (RAY_POSITIVE, RAY_NEGATIVE):
+    for d, ray in ((1, "positive"), (-1, "negative")):
         blocks: list[FiniteSolution] = []
         gaps: list[int] = []
         while True:
             if not blocks:
                 edge = 0
             else:
-                i = len(gaps)
-                target = max(i + 2, 2 * gaps[-1] if gaps else 0)
-                if ray == RAY_POSITIVE:
-                    edge = blocks[-1].max_support + target
-                else:
-                    edge = blocks[-1].min_support - target
-            candidates = _first_blocks(op, ray, edge, budget)
+                target = max(len(gaps) + 2, 2 * gaps[-1] if gaps else 0)
+                edge = d * (_along(blocks[-1], d)[1] + target)
+            candidates = _first_blocks(op, d, edge, budget)
             if not candidates:
                 break
-            if ray == RAY_POSITIVE:
-                found = min(candidates, key=lambda s: (s.max_support, s.min_support, s.values))
-            else:
-                found = min(candidates, key=lambda s: (-s.min_support, -s.max_support, s.values))
+            found = min(candidates, key=lambda s: (_along(s, d)[::-1], s.values))
             if blocks:
-                if ray == RAY_POSITIVE:
-                    gaps.append(found.min_support - blocks[-1].max_support)
-                else:
-                    gaps.append(blocks[-1].min_support - found.max_support)
+                gaps.append(_along(found, d)[0] - _along(blocks[-1], d)[1])
                 best_gap = max(best_gap, gaps[-1])
             blocks.append(found)
             if gaps and gaps[-1] >= min_gap:
@@ -407,12 +370,8 @@ def verify_partial_lacunary(op: OperatorSpec, partial: PartialLacunarySolution) 
     if _first_non_solution(op, partial.blocks) is not None:
         return False
     total = _SparseSum((b.anchor + i, v) for b in partial.blocks for i, v in enumerate(b.values))
-    cw, r = partial.covered_window(), op.order
-    try:
-        _check_near_support(op, total, Window(cw.lo - r, cw.hi + r), sorted(total))
-    except NotASolutionOnWindow:
-        return False
-    return True
+    support = sorted(total)
+    return first_residual(op, total, support, support[0] - op.order, support[-1]) is None
 
 
 def verify_kernel_basis(op: OperatorSpec, basis: KernelBasis) -> bool:

@@ -239,8 +239,8 @@ def operator_from_json(data: Any) -> OperatorSpec:
     _only_keys(data, ("order", "coeffs"), "operator")
     coeffs = _list(_key(data, "coeffs", "operator"), "coeffs", sequence_from_json)
     op = OperatorSpec(coeffs)
-    declared = data.get("order")
-    if declared is not None and _int(declared, "order") != op.order:
+    declared = data.get("order", op.order)  # optional, but never null
+    if _int(declared, "order") != op.order:
         raise ValueError(
             f"declared order {declared} does not match {len(coeffs)} coefficients"
         )

@@ -6,12 +6,13 @@ An operator of order r acts on a bi-infinite sequence x by
 
 where each coefficient a_k is itself a finitely described sequence.  The
 leading and trailing coefficients may vanish at individual points; nothing
-here assumes them invertible.  This module evaluates residuals, verifies
-finite-support global solutions by a complete finite check, builds the
-linear system that a window of unknowns must satisfy as band rows (each
-equation touches at most r + 1 consecutive unknowns, so it is stored as
-its first column and those entries), and issues residue-class
-disjointness certificates.
+here assumes them invertible.  This module evaluates residuals, walks
+the equations near a support for the first that fails (the one walk
+behind every residual check), verifies finite-support global solutions
+by a complete finite check, builds the linear system that a window of
+unknowns must satisfy as band rows (each equation touches at most r + 1
+consecutive unknowns, so it is stored as its first column and those
+entries), and issues residue-class disjointness certificates.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "OperatorSpec",
     "ResidueCertificate",
     "ResidueMask",
+    "first_residual",
     "is_global_solution_finite",
     "residual",
     "residue_certificate",
@@ -134,10 +136,28 @@ def residual(op: OperatorSpec, x: SequenceSpec | FiniteSolution, n: int) -> Frac
     """(L x)(n), evaluated exactly."""
     acc = ZERO
     for k, a_k in enumerate(op.coeffs):
-        xv = x.value_at(n + k)
-        if xv != 0 and (av := a_k.value_at(n)) != 0:
+        if (xv := x.value_at(n + k)) and (av := a_k.value_at(n)):
             acc += av * xv
     return acc
+
+
+def first_residual(
+    op: OperatorSpec, x: SequenceSpec | FiniteSolution, support: Sequence[int], lo: int, hi: int
+) -> Optional[tuple[int, Fraction]]:
+    """The first n in [lo, hi] with (L x)(n) != 0, with that residual; else None.
+
+    Equation n reads x(n) .. x(n + r), so one that fails lies within r left
+    of a point of the increasing `support`, which must hold every nonzero
+    of x on [lo, hi + r]: only those equations are evaluated, each once.
+    """
+    r, nxt = op.order, lo
+    for s in support:
+        for n in range(max(s - r, nxt), min(s, hi) + 1):
+            value = residual(op, x, n)
+            if value:
+                return n, value
+        nxt = max(nxt, min(s, hi) + 1)
+    return None
 
 
 def is_global_solution_finite(op: OperatorSpec, x: FiniteSolution) -> bool:
@@ -145,19 +165,10 @@ def is_global_solution_finite(op: OperatorSpec, x: FiniteSolution) -> bool:
 
     Outside [min_support - r, max_support] every term of (L x)(n) touches
     only zeros of x, so the residual vanishes identically there and the
-    finite check is complete for all of ZZ.  Each equation sums only the
-    terms that meet a nonzero table entry: the others multiply zeros.
+    finite check is complete for all of ZZ.
     """
-    coeffs, values, anchor = op.coeffs, x.values, x.anchor
-    r, top = op.order, len(x.values) - 1
-    for i in range(-r, top + 1):  # equation n = anchor + i reads values[i .. i + r]
-        acc = 0
-        for k in range(max(0, -i), min(r, top - i) + 1):
-            if (xv := values[i + k]) and (av := coeffs[k].value_at(anchor + i)):
-                acc += av * xv
-        if acc:
-            return False
-    return True
+    support = [x.anchor + i for i, v in enumerate(x.values) if v]
+    return first_residual(op, x, support, x.anchor - op.order, x.max_support) is None
 
 
 BandRow = tuple[int, Sequence[Fraction]]
@@ -297,11 +308,11 @@ def residue_certificate(
 
     lifted_modulus = math.lcm(sol_mask.modulus, *(m.modulus for m in coeff_masks))
 
-    sol_lifted = sorted(sol_mask.lifted(lifted_modulus))
-    conflicts = []
-    for k, mask in enumerate(coeff_masks):
-        for rho in sorted(mask.lifted(lifted_modulus)):
-            for tau in sol_lifted:
-                if (rho + k) % lifted_modulus == tau:
-                    conflicts.append((k, rho, tau))
+    sol_lifted = sol_mask.lifted(lifted_modulus)
+    conflicts = [  # rho + k meets at most one solution residue tau
+        (k, rho, (rho + k) % lifted_modulus)
+        for k, mask in enumerate(coeff_masks)
+        for rho in sorted(mask.lifted(lifted_modulus))
+        if (rho + k) % lifted_modulus in sol_lifted
+    ]
     return ResidueCertificate(not conflicts, lifted_modulus, tuple(conflicts))

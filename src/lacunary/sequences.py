@@ -32,7 +32,6 @@ __all__ = [
     "Periodic",
     "ResiduePolynomial",
     "SequenceSpec",
-    "SupportProfile",
     "Window",
     "as_fraction",
     "lacunarity_witness",
@@ -136,30 +135,6 @@ class Window(Record):
 
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)
-
-
-class SupportProfile(Record):
-    """Sorted nonzero indices of a sequence on a window, plus their gaps.
-
-    ``gaps[i] = indices[i+1] - indices[i]``; a sequence with fewer than two
-    support points in the window has no gaps at all.
-    """
-
-    indices: tuple[int, ...]
-    gaps: tuple[int, ...]
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "SupportProfile":
-        idx = tuple(indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("support indices must be strictly increasing")
-        gaps = tuple(b - a for a, b in zip(idx, idx[1:]))
-        return cls(idx, gaps)
-
-    @property
-    def max_gap(self) -> int:
-        """Largest gap, or 0 when fewer than two support points exist."""
-        return max(self.gaps, default=0)
 
 
 class FiniteTable(Record):
@@ -288,8 +263,8 @@ class GeometricSupport(Record):
 SequenceSpec = Union[FiniteTable, Periodic, ResiduePolynomial, GeometricSupport]
 
 
-def support_in_window(spec: SequenceSpec, window: Window) -> SupportProfile:
-    """Exact support of `spec` in `window`, with gap list, in increasing order.
+def support_in_window(spec: SequenceSpec, window: Window) -> tuple[int, ...]:
+    """Exact support of `spec` in `window`: its nonzero indices, increasing.
 
     Geometric supports walk their doubling points (from scale's odd part if
     m < 0 is allowed), default-0 tables their table; the rest scan the window.
@@ -302,9 +277,7 @@ def support_in_window(spec: SequenceSpec, window: Window) -> SupportProfile:
     elif isinstance(spec, FiniteTable) and spec.default == 0:
         end = spec.anchor + len(spec.values)
         candidates = range(max(window.lo, spec.anchor), min(window.hi + 1, end))
-    return SupportProfile.from_indices(
-        n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0
-    )
+    return tuple(n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0)
 
 
 def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool:
@@ -315,4 +288,5 @@ def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool
     """
     if min_gap < 1:
         raise ValueError("min_gap must be positive")
-    return support_in_window(spec, window).max_gap >= min_gap
+    points = support_in_window(spec, window)
+    return max((b - a for a, b in zip(points, points[1:])), default=0) >= min_gap

@@ -8,6 +8,7 @@ symmetric_window_certify, an earlier certify search kept as a reference
 for the block sweep; it runs on the library's kernel.
 """
 
+import math
 from fractions import Fraction
 
 from lacunary import DimensionCertificate, Inconclusive, Window, finite_support_kernel
@@ -79,6 +80,18 @@ def every_equation_check(op, x):
     """
     w = Window(x.min_support - op.order, x.max_support + op.order)
     return dense_windowed_check(op, x, w) is None
+
+
+def pairwise_residue_conflicts(coeff_masks, sol_mask):
+    """Every (k, rho, tau) with rho + k = tau mod the lcm modulus, trying all pairs."""
+    m = math.lcm(sol_mask.modulus, *(mask.modulus for mask in coeff_masks))
+    return tuple(
+        (k, rho, tau)
+        for k, mask in enumerate(coeff_masks)
+        for rho in range(m) if rho % mask.modulus in mask.allowed
+        for tau in range(m) if tau % sol_mask.modulus in sol_mask.allowed
+        if (rho + k) % m == tau
+    )
 
 
 def unit_residual(op, m, n):

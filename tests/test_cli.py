@@ -208,15 +208,6 @@ def test_verify_split_result_without_pieces_exit_1(capsys, vanish_r2, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_split_max_pieces(capsys, vanish_r2, geometric_r2):
-    code, out, err = run(
-        capsys, "split", "--operator", vanish_r2, "--sequence", geometric_r2,
-        "--window", "0:1000", "--max-pieces", "3",
-    )
-    assert code == 0
-    assert len(json.loads(out)["pieces"]) == 3
-
-
 def test_build_and_verify(capsys, vanish_r2, tmp_path):
     built_file = tmp_path / "built.json"
     code, out, err = run(
@@ -361,6 +352,14 @@ def test_missing_and_malformed_files(capsys, tmp_path, vanish_r2):
     code, out, err = run(capsys, "kernel", "--operator", str(mangled), "--window", "0:4")
     assert code == 1
     assert "mangled.json" in err
+
+    # json's reader recurses once per level: too deep a nesting is an error
+    # on one line, not a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, "verify", "--operator", vanish_r2, "--certificate", str(deep))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
 
 
 def test_duplicate_json_keys_exit_1_one_line(capsys, tmp_path, vanish_r2):

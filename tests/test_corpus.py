@@ -10,7 +10,6 @@ from lacunary import (
     Periodic,
     ResiduePolynomial,
     Window,
-    ZeroValueRejected,
     finite_support_kernel,
     lacunarity_witness,
     residual,
@@ -50,35 +49,16 @@ def test_vanish_coefficient_pattern(r):
                 assert value == 0
 
 
-def test_vanish_custom_values():
-    default = vanish_on_multiples_operator(2)
-    scaled = vanish_on_multiples_operator(
-        2, (Fraction(3), Fraction(-1, 2), Fraction(5))
-    )
-    w = Window(0, 30)
-    a = finite_support_kernel(default, w)
-    b = finite_support_kernel(scaled, w)
-    # coefficient magnitudes never matter, only where they vanish
-    assert a.dimension == b.dimension
-    assert {s.support_set() for s in a.solutions} == {
-        s.support_set() for s in b.solutions
-    }
-
-
 def test_vanish_validation():
     with pytest.raises(ValueError):
         vanish_on_multiples_operator(0)
-    with pytest.raises(ValueError):
-        vanish_on_multiples_operator(2, (Fraction(1),))
-    with pytest.raises(ZeroValueRejected):
-        vanish_on_multiples_operator(2, (Fraction(1), Fraction(0), Fraction(1)))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_geometric_sequence_solves_vanish_operator(r):
     op = vanish_on_multiples_operator(r)
     x = geometric_lacunary_sequence(r)
-    pts = support_in_window(x, Window(0, 2000)).indices
+    pts = support_in_window(x, Window(0, 2000))
     assert pts
     assert all(n % (r + 1) == 1 for n in pts)
     for n in range(-10, 600):
@@ -91,7 +71,8 @@ def test_geometric_sequence_solves_vanish_operator(r):
 )
 def test_geometric_max_gap(r, budget, expected):
     x = geometric_lacunary_sequence(r)
-    assert support_in_window(x, Window(0, budget)).max_gap == expected
+    pts = support_in_window(x, Window(0, budget))
+    assert max(b - a for a, b in zip(pts, pts[1:])) == expected
     assert lacunarity_witness(x, Window(0, budget), expected)
     assert not lacunarity_witness(x, Window(0, budget), expected + 1)
 

@@ -35,6 +35,7 @@ from lacunary.corpus import (
     zero_operator,
 )
 from lacunary import engine as engine_mod
+from lacunary import operators as operators_mod
 from lacunary.linalg import finite_support_kernel
 
 from .oracles import dense_windowed_check, every_equation_check, symmetric_window_certify
@@ -219,14 +220,6 @@ def test_split_geometric_solution_frozen():
     assert all(v == 1 for p in pieces for v in p.values if v != 0)
 
 
-def test_split_respects_max_pieces():
-    op = vanish_on_multiples_operator(2)
-    pieces = split_lacunary(op, geometric_lacunary_sequence(2), Window(0, 1000), 3)
-    assert [p.anchor for p in pieces] == [4, 13, 25]
-    with pytest.raises(ValueError):
-        split_lacunary(op, geometric_lacunary_sequence(2), Window(0, 1000), 0)
-
-
 def test_split_no_cuts_cases():
     fib = fibonacci_operator()
     assert split_lacunary(fib, fib_table(21), Window(0, 20)) == []
@@ -336,6 +329,35 @@ def test_build_lacunary_negative_ray():
     assert verify_partial_lacunary(op, out)
 
 
+def mirrored(op):
+    """The operator whose solutions are those of op reflected by n -> -n."""
+    # (L x)(n) = sum_k a_k(n) y(-n - k) for y(m) = x(-m): coefficient j of
+    # the mirror is a_{r - j}(-n - r), a reversed table
+    r = op.order
+    return OperatorSpec(tuple(
+        FiniteTable(-a.anchor - len(a.values) - r + 1, a.values[::-1], a.default)
+        for a in reversed(op.coeffs)
+    ))
+
+
+def test_build_lacunary_negative_ray_mirrors_the_positive_one():
+    # inside [0, 59] equation n reads x(n) = x(n + 1) off the multiples of 3
+    # and nothing on them, so the solutions are runs on 3m + 1 .. 3m + 3; the
+    # mirror's lie left of the origin only, and build finds their reflections
+    op = OperatorSpec((
+        FiniteTable(0, (0, 1, 1) * 20, Fraction(1)),
+        FiniteTable(0, (0, -1, -1) * 20, Fraction(1)),
+    ))
+    pos, neg = build_lacunary(op, 8, 100), build_lacunary(mirrored(op), 8, 100)
+    assert (pos.ray, neg.ray) == ("positive", "negative")
+    assert all(len(b.values) == 3 for b in pos.blocks)
+    assert neg.gap_profile == pos.gap_profile
+    assert [(-b.max_support, -b.min_support) for b in neg.blocks] == [
+        (b.min_support, b.max_support) for b in pos.blocks
+    ]
+    assert verify_partial_lacunary(mirrored(op), neg)
+
+
 def test_build_lacunary_validation():
     with pytest.raises(ValueError):
         build_lacunary(zero_operator(), 0, 10)
@@ -373,6 +395,14 @@ def test_partial_lacunary_invariants():
         PartialLacunarySolution((a, b, c), (3,), "positive")
     with pytest.raises(ValueError):
         PartialLacunarySolution((a, b), (3,), "sideways")
+    with pytest.raises(ValueError):
+        PartialLacunarySolution((a, b), (3,), ["positive"])  # unhashable, as JSON may give
+    # on the negative ray a gap runs from a block's start to the next one's end
+    e = FiniteSolution(-5, (Fraction(1), Fraction(0), Fraction(1)))
+    f = FiniteSolution(-12, (Fraction(1), Fraction(1)))
+    PartialLacunarySolution((e, f), (6,), "negative")
+    with pytest.raises(ValueError):
+        PartialLacunarySolution((e, f), (8,), "negative")
     with pytest.raises(ValueError):
         PartialLacunarySolution((), (), "positive")
     # second gap must be at least 3
@@ -503,19 +533,18 @@ class CountedCoefficient:
 
 def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
     # two counts: coefficient evaluations bound the work of every residual
-    # check, through residual or the table-only loop of
-    # is_global_solution_finite; but residual evaluates no coefficient on an
-    # equation whose terms all miss the support, so the equations the
-    # windowed checks evaluate are counted too, or a scan of the whole
-    # window would go unseen
+    # check, all of which walk the support through residual; but residual
+    # evaluates no coefficient on an equation whose terms all miss the
+    # support, so the equations evaluated are counted too, or a scan of the
+    # whole window would go unseen
     calls, equations = [], []
-    original = engine_mod.residual
+    original = operators_mod.residual
 
     def counting(op, x, n):
         equations.append(n)
         return original(op, x, n)
 
-    monkeypatch.setattr(engine_mod, "residual", counting)
+    monkeypatch.setattr(operators_mod, "residual", counting)
     op = vanish_on_multiples_operator(2)
     counted = OperatorSpec(tuple(CountedCoefficient(a, calls) for a in op.coeffs))
     r = op.order
@@ -540,8 +569,11 @@ def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
     solutions = tuple(FiniteSolution(3 * i + 2, block) for i in range(k))
     cert = DimensionCertificate(k, Window(2, 3 * k + 1), solutions)
     calls.clear()
+    equations.clear()
     assert verify_dimension_certificate(counted, cert)
-    assert 0 < len(calls) <= k * (r + 1) * sum(1 for v in block if v) < k * (r + 1) * len(block)
+    bound = k * (r + 1) * sum(1 for v in block if v)
+    assert 0 < len(calls) <= bound < k * (r + 1) * len(block)
+    assert 0 < len(equations) <= bound
 
 
 def test_translation_classes_match_the_every_equation_oracle():

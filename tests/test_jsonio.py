@@ -174,6 +174,9 @@ def test_operator_round_trip_and_order_check():
         operator_from_json(data)
     del data["order"]
     assert operator_from_json(data) == op
+    # optional, but like every other optional key never null
+    with pytest.raises(ValueError, match="order"):
+        operator_from_json({**data, "order": None})
     with pytest.raises(ValueError):
         operator_from_json({"order": 2})
 

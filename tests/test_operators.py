@@ -29,7 +29,7 @@ from lacunary.corpus import (
     zero_operator,
 )
 
-from .oracles import densify, every_equation_check
+from .oracles import densify, every_equation_check, pairwise_residue_conflicts
 from .strategies import (
     periodic_operators,
     residue_operators,
@@ -270,6 +270,22 @@ def test_residue_certificate_mixed_moduli():
     assert cert.conflicts == ((1, 0, 1),)
     cert = residue_certificate(op, masks, ResidueMask(2, frozenset({0})))
     assert cert.certified
+
+
+residue_masks = st.integers(min_value=1, max_value=6).flatmap(
+    lambda m: st.frozensets(st.integers(min_value=0, max_value=m - 1)).map(
+        lambda allowed: ResidueMask(m, allowed)
+    )
+)
+
+
+@given(st.lists(residue_masks, min_size=1, max_size=4), residue_masks)
+def test_residue_conflicts_match_the_pairwise_oracle(coeff_masks, sol_mask):
+    # zero coefficients respect every mask, so any masks can be certified
+    op = OperatorSpec(tuple(Periodic.constant(0) for _ in coeff_masks))
+    cert = residue_certificate(op, coeff_masks, sol_mask)
+    assert cert.conflicts == pairwise_residue_conflicts(coeff_masks, sol_mask)
+    assert cert.certified == (not cert.conflicts)
 
 
 def test_residue_certificate_rejects_lying_masks():
