@@ -13,6 +13,8 @@ Three procedures, all exact and all budget-bounded:
 Certify and build share one verified block search on doubling windows
 along a ray: build places its earliest-ending blocks at growing gaps,
 certify sweeps blocks left to right and keeps those with disjoint supports.
+With periodic coefficients it solves each translation class of windows
+once per call and translates the verified basis to the others.
 
 Witnesses are sparse, so windowed residual checks evaluate only equations
 that meet the support: any other multiplies zeros only.
@@ -27,11 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from operator import eq
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .linalg import KernelBasis, VerificationFailure, _eliminate, finite_support_kernel
 from .operators import FiniteSolution, OperatorSpec, first_residual, is_global_solution_finite
-from .sequences import ZERO, FiniteTable, Record, SequenceSpec, Window, support_in_window
+from .sequences import ZERO, FiniteTable, Record, SequenceSpec, Window, _support_points
 
 __all__ = [
     "DimensionCertificate",
@@ -161,7 +163,9 @@ class PartialLacunarySolution(Record):
         return FiniteTable(w.lo, tuple(values))
 
 
-def windowed_residual_check(op: OperatorSpec, x: SequenceSpec, w: Window) -> tuple[int, ...]:
+def windowed_residual_check(
+    op: OperatorSpec, x: SequenceSpec, w: Window
+) -> list[tuple[int, int]]:
     """Verify the equation at every index whose terms all lie inside w.
 
     Checks residual(op, x, n) = 0 for n in [w.lo, w.hi - r], the equations
@@ -169,13 +173,26 @@ def windowed_residual_check(op: OperatorSpec, x: SequenceSpec, w: Window) -> tup
     the window.  Raises NotASolutionOnWindow at the first failure.  An
     equation with no support point among its terms multiplies zeros only:
     it is skipped, so the check is complete and fails where a scan would.
-    Returns the support of x in w, which the check walked.
+    The support is read lazily and not kept, so a failure ends the walk
+    without reading the rest of the window.  Returns the runs of the
+    support it walked: the (first, last) support points of each stretch
+    between zero runs of length >= r + 1, in order.
     """
-    support = support_in_window(x, w)
-    failure = first_residual(op, x, support, w.lo, w.hi - op.order)
+    r = op.order
+    runs: list[tuple[int, int]] = []
+
+    def walk() -> Iterator[int]:
+        for n in _support_points(x, w):
+            if runs and n - runs[-1][1] <= r + 1:
+                runs[-1] = (runs[-1][0], n)
+            else:
+                runs.append((n, n))
+            yield n
+
+    failure = first_residual(op, x, walk(), w.lo, w.hi - r)
     if failure:
         raise NotASolutionOnWindow(*failure)
-    return support
+    return runs
 
 
 def certify_dimension(
@@ -186,9 +203,10 @@ def certify_dimension(
     From each edge, starting at -budget, the widened block search's
     solutions are taken earliest-starting first, each iff its support
     misses every support taken so far; the sweep resumes one past the
-    earliest start, so interleaved solutions are still found.  Disjoint
-    supports make the solutions independent, so the certificate (window:
-    the hull of the supports) is unconditionally sound: dim >= k.
+    earliest start, so interleaved solutions are still found; the block
+    search solves each translation class of windows once per call.
+    Disjoint supports make the solutions independent, so the certificate
+    (window: the hull of the supports) is unconditionally sound: dim >= k.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -197,8 +215,9 @@ def certify_dimension(
     taken: list[FiniteSolution] = []
     used: set[int] = set()
     edge = -budget
+    solved: dict[tuple[int, int], tuple[FiniteSolution, ...]] = {}
     while len(taken) < k:
-        candidates = _first_blocks(op, 1, edge, budget, widen=True)
+        candidates = _first_blocks(op, 1, edge, budget, solved, widen=True)
         if not candidates:
             return Inconclusive(
                 reason=f"no {k} disjoint solutions within budget {budget}",
@@ -217,8 +236,9 @@ def certify_dimension(
 def split_lacunary(op: OperatorSpec, x: SequenceSpec, w: Window) -> list[FiniteSolution]:
     """Cut a windowed solution at its long zero runs into verified pieces.
 
-    After the windowed residual check passes, the support of x inside w is
-    segmented at maximal zero runs of length >= r+1.  A segment qualifies
+    After the windowed residual check passes, the runs it returns are the
+    support of x inside w segmented at maximal zero runs of length >= r+1,
+    walked once.  A segment qualifies
     as a piece only if it has at least r+1 verified zeros on both sides
     inside the window (segments flush against a window edge are dropped:
     their completeness cannot be checked).  Qualifying pieces are genuine
@@ -226,20 +246,7 @@ def split_lacunary(op: OperatorSpec, x: SequenceSpec, w: Window) -> list[FiniteS
     first.  An empty list means no cut qualified, which is not an error.
     """
     r = op.order
-    support = windowed_residual_check(op, x, w)
-    if not support:
-        return []
-
-    segments: list[tuple[int, int]] = []
-    start = support[0]
-    prev = support[0]
-    for s in support[1:]:
-        if s - prev >= r + 2:  # zero run of length >= r+1 between prev and s
-            segments.append((start, prev))
-            start = s
-        prev = s
-    segments.append((start, prev))
-
+    segments = windowed_residual_check(op, x, w)
     pieces = []
     for i, (lo, hi) in enumerate(segments):
         left_ok = i > 0 or lo - w.lo >= r + 1
@@ -256,7 +263,12 @@ def split_lacunary(op: OperatorSpec, x: SequenceSpec, w: Window) -> list[FiniteS
 
 
 def _first_blocks(
-    op: OperatorSpec, d: int, edge: int, budget: int, widen: bool = False
+    op: OperatorSpec,
+    d: int,
+    edge: int,
+    budget: int,
+    solved: dict[tuple[int, int], tuple[FiniteSolution, ...]],
+    widen: bool = False,
 ) -> tuple[FiniteSolution, ...]:
     """The verified solutions of the first window from edge that holds one.
 
@@ -268,13 +280,28 @@ def _first_blocks(
     nonzero coefficient, and smaller windows held none.  widen returns the
     window one doubling further, so solutions straddling that one are in it
     too.
+
+    Each translation class of windows is solved once per search: with a
+    common period p, the system on [lo, hi] is the one on [lo mod p, ...]
+    shifted by a multiple of p, and the kernel basis is canonical, so
+    `solved` keeps the verified basis of each (lo mod p, hi - lo) and a
+    window of that class gets its translate.  Without a period every
+    window is solved.
     """
     if abs(edge) > budget:
         return ()
+    p = op.period
     width = op.order + 1
     while True:
         lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
-        solutions = finite_support_kernel(op, Window(lo, hi)).solutions
+        if p is None:
+            solutions = finite_support_kernel(op, Window(lo, hi)).solutions
+        else:
+            shift = lo - lo % p
+            key = (lo - shift, hi - lo)
+            if key not in solved:
+                solved[key] = finite_support_kernel(op, Window(lo - shift, hi - shift)).solutions
+            solutions = tuple(FiniteSolution(s.anchor + shift, s.values) for s in solved[key])
         if hi - lo + 1 < width or (solutions and not widen):
             return solutions
         widen = widen and not solutions  # widen once past the first hit
@@ -300,7 +327,7 @@ def build_lacunary(
     if budget < 1:
         raise ValueError("budget must be positive")
     best_gap = 0
-
+    solved: dict[tuple[int, int], tuple[FiniteSolution, ...]] = {}
     for d, ray in ((1, "positive"), (-1, "negative")):
         blocks: list[FiniteSolution] = []
         gaps: list[int] = []
@@ -310,7 +337,7 @@ def build_lacunary(
             else:
                 target = max(len(gaps) + 2, 2 * gaps[-1] if gaps else 0)
                 edge = d * (_along(blocks[-1], d)[1] + target)
-            candidates = _first_blocks(op, d, edge, budget)
+            candidates = _first_blocks(op, d, edge, budget, solved)
             if not candidates:
                 break
             found = min(candidates, key=lambda s: (_along(s, d)[::-1], s.values))

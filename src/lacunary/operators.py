@@ -142,7 +142,7 @@ def residual(op: OperatorSpec, x: SequenceSpec | FiniteSolution, n: int) -> Frac
 
 
 def first_residual(
-    op: OperatorSpec, x: SequenceSpec | FiniteSolution, support: Sequence[int], lo: int, hi: int
+    op: OperatorSpec, x: SequenceSpec | FiniteSolution, support: Iterable[int], lo: int, hi: int
 ) -> Optional[tuple[int, Fraction]]:
     """The first n in [lo, hi] with (L x)(n) != 0, with that residual; else None.
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "FiniteTable",
@@ -263,8 +263,8 @@ class GeometricSupport(Record):
 SequenceSpec = Union[FiniteTable, Periodic, ResiduePolynomial, GeometricSupport]
 
 
-def support_in_window(spec: SequenceSpec, window: Window) -> tuple[int, ...]:
-    """Exact support of `spec` in `window`: its nonzero indices, increasing.
+def _support_points(spec: SequenceSpec, window: Window) -> Iterator[int]:
+    """The nonzero indices of `spec` in `window`, increasing, one at a time.
 
     Geometric supports walk their doubling points (from scale's odd part if
     m < 0 is allowed), default-0 tables their table; the rest scan the window.
@@ -277,7 +277,12 @@ def support_in_window(spec: SequenceSpec, window: Window) -> tuple[int, ...]:
     elif isinstance(spec, FiniteTable) and spec.default == 0:
         end = spec.anchor + len(spec.values)
         candidates = range(max(window.lo, spec.anchor), min(window.hi + 1, end))
-    return tuple(n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0)
+    return (n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0)
+
+
+def support_in_window(spec: SequenceSpec, window: Window) -> tuple[int, ...]:
+    """Exact support of `spec` in `window`: its nonzero indices, increasing."""
+    return tuple(_support_points(spec, window))
 
 
 def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and shares no code with the package
 internals: plain rational Gauss-Jordan with a different pivot rule, and
 window systems assembled from unit-sequence residuals instead of the
-library's matrix constructor.  The one exception is
-symmetric_window_certify, an earlier certify search kept as a reference
-for the block sweep; it runs on the library's kernel.
+library's matrix constructor.  The two exceptions run on the library's
+kernel: symmetric_window_certify, an earlier certify search kept as a
+reference for the block sweep, and uncached_first_blocks, the block search
+with every window solved.
 """
 
 import math
@@ -182,3 +183,24 @@ def symmetric_window_certify(op, k, budget):
         reason=f"no {k} disjoint solutions within budget {budget}",
         best_kernel_dim=best_dim,
     )
+
+
+def uncached_first_blocks(op, d, edge, budget, widen=False):
+    """The block search of certify and build, solving every window it tries.
+
+    Windows anchored at edge double along the ray of sign d from width
+    r + 1, clipped to [-budget, budget].  The first that holds a solution
+    is returned (with widen, the one a doubling after it); empty if a
+    clipped window holds none or |edge| > budget.
+    """
+    if abs(edge) > budget:
+        return ()
+    width = op.order + 1
+    while True:
+        lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
+        solutions = finite_support_kernel(op, Window(lo, hi)).solutions
+        if hi - lo + 1 < width or (solutions and not widen):
+            return solutions
+        if solutions:
+            widen = False
+        width *= 2

@@ -38,7 +38,13 @@ from lacunary import engine as engine_mod
 from lacunary import operators as operators_mod
 from lacunary.linalg import finite_support_kernel
 
-from .oracles import dense_windowed_check, every_equation_check, symmetric_window_certify
+from . import oracles
+from .oracles import (
+    dense_windowed_check,
+    every_equation_check,
+    symmetric_window_certify,
+    uncached_first_blocks,
+)
 from .strategies import periodic_operators, residue_operators, sequence_specs, windows
 
 
@@ -59,6 +65,29 @@ def test_windowed_residual_check():
     assert err.value.value == 1
     # windows shorter than the order have no fully contained equation
     windowed_residual_check(op, broken, Window(0, 1))
+
+
+class Bounded:
+    """A sequence that fails the test once read at more than `limit` indices."""
+
+    def __init__(self, spec, limit):
+        self.spec, self.left = spec, limit
+
+    def value_at(self, n):
+        self.left -= 1
+        assert self.left >= 0, "read too much of the window"
+        return self.spec.value_at(n)
+
+
+def test_windowed_check_stops_at_the_first_failure_of_a_huge_window():
+    # all ones fail x(n + 2) = x(n + 1) + x(n) at n = 0: the support is read
+    # lazily, so neither check reads (or holds) the window's 10**12 indices
+    op = fibonacci_operator()
+    for check in (windowed_residual_check, split_lacunary):
+        ones = Bounded(Periodic(1, (Fraction(1),)), 100)
+        with pytest.raises(NotASolutionOnWindow) as err:
+            check(op, ones, Window(0, 10**12))
+        assert (err.value.n, err.value.value) == (0, -1)
 
 
 def test_certify_dimension_singletons_off_multiples():
@@ -663,3 +692,80 @@ def test_one_check_per_translation_class(monkeypatch):
     w = Window(1, 6 * 70)
     assert not verify_dimension_certificate(op, DimensionCertificate(201, w, bad))
     assert sorted(checked) == sorted(classes | {(0, one)})
+
+
+def test_block_search_matches_the_uncached_oracle():
+    def uncached(op, d, edge, budget, solved, widen=False):
+        return uncached_first_blocks(op, d, edge, budget, widen)
+
+    @settings(max_examples=30, deadline=None)
+    @given(residue_operators, st.integers(min_value=1, max_value=40), st.data())
+    def agrees(op, budget, data):
+        # one dict across edges on both rays, clipped or not, widened or not:
+        # every window of a class after the first is a translate
+        solved = {}
+        edges = st.integers(min_value=-budget - 2, max_value=budget + 2)
+        for edge in data.draw(st.lists(edges, min_size=1, max_size=10)):
+            for d in (1, -1):
+                for widen in (False, True):
+                    expected = uncached_first_blocks(op, d, edge, budget, widen)
+                    assert engine_mod._first_blocks(op, d, edge, budget, solved, widen) == expected
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        gap = data.draw(st.integers(min_value=1, max_value=12))
+        cached = certify_dimension(op, k, budget), build_lacunary(op, gap, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "_first_blocks", uncached)
+            assert (certify_dimension(op, k, budget), build_lacunary(op, gap, budget)) == cached
+
+    agrees()
+
+
+def test_block_search_solves_each_translation_class_once(monkeypatch):
+    windows, oracle_windows = [], []
+
+    def recording(log):
+        def kernel(op, w):
+            log.append(w)
+            return finite_support_kernel(op, w)
+        return kernel
+
+    monkeypatch.setattr(engine_mod, "finite_support_kernel", recording(windows))
+    monkeypatch.setattr(oracles, "finite_support_kernel", recording(oracle_windows))
+
+    def both(search, *args):
+        """The search's outcome and windows, cached and with every window solved."""
+        windows.clear()
+        oracle_windows.clear()
+        out = search(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                engine_mod, "_first_blocks",
+                lambda op, d, edge, budget, solved, widen=False:
+                uncached_first_blocks(op, d, edge, budget, widen),
+            )
+            assert search(*args) == out
+        return out, list(windows), list(oracle_windows)
+
+    # period 3: every solution is a translate of two shapes
+    out, solved, every = both(certify_dimension, vanish_on_multiples_operator(2), 100, 200)
+    assert isinstance(out, DimensionCertificate) and out.k == 100
+    assert len(solved) <= 6 < 194 == len(every)
+
+    # period 1: the negative ray reuses every window size of the positive one
+    out, solved, every = both(build_lacunary, fibonacci_operator(), 20, 200)
+    assert isinstance(out, Inconclusive)
+    sizes = [w.size for w in solved]
+    assert len(set(sizes)) == len(sizes)
+    assert sorted(sizes) == sorted({w.size for w in every})
+    assert 2 * len(solved) == len(every)
+
+    # no period: every window is solved, as the oracle solves it
+    op = OperatorSpec((
+        FiniteTable(0, (0, 1, 1) * 20, Fraction(1)),
+        FiniteTable(0, (0, -1, -1) * 20, Fraction(1)),
+    ))
+    assert op.period is None
+    for search, args in ((certify_dimension, (op, 5, 100)), (build_lacunary, (op, 8, 100))):
+        out, solved, every = both(search, *args)
+        assert not isinstance(out, Inconclusive)
+        assert solved == every
