@@ -215,9 +215,10 @@ def certify_dimension(
     taken: list[FiniteSolution] = []
     used: set[int] = set()
     edge = -budget
+    period = op.period
     solved: dict[tuple[int, int], tuple[FiniteSolution, ...]] = {}
     while len(taken) < k:
-        candidates = _first_blocks(op, 1, edge, budget, solved, widen=True)
+        candidates = _first_blocks(op, 1, edge, budget, period, solved, widen=True)
         if not candidates:
             return Inconclusive(
                 reason=f"no {k} disjoint solutions within budget {budget}",
@@ -267,6 +268,7 @@ def _first_blocks(
     d: int,
     edge: int,
     budget: int,
+    period: Optional[int],
     solved: dict[tuple[int, int], tuple[FiniteSolution, ...]],
     widen: bool = False,
 ) -> tuple[FiniteSolution, ...]:
@@ -282,22 +284,21 @@ def _first_blocks(
     too.
 
     Each translation class of windows is solved once per search: with a
-    common period p, the system on [lo, hi] is the one on [lo mod p, ...]
-    shifted by a multiple of p, and the kernel basis is canonical, so
-    `solved` keeps the verified basis of each (lo mod p, hi - lo) and a
-    window of that class gets its translate.  Without a period every
-    window is solved.
+    common period p (`period`, the caller's op.period), the system on
+    [lo, hi] is the one on [lo mod p, ...] shifted by a multiple of p, and
+    the kernel basis is canonical, so `solved` keeps the verified basis of
+    each (lo mod p, hi - lo) and a window of that class gets its
+    translate.  Without a period every window is solved.
     """
     if abs(edge) > budget:
         return ()
-    p = op.period
     width = op.order + 1
     while True:
         lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
-        if p is None:
+        if period is None:
             solutions = finite_support_kernel(op, Window(lo, hi)).solutions
         else:
-            shift = lo - lo % p
+            shift = lo - lo % period
             key = (lo - shift, hi - lo)
             if key not in solved:
                 solved[key] = finite_support_kernel(op, Window(lo - shift, hi - shift)).solutions
@@ -327,6 +328,7 @@ def build_lacunary(
     if budget < 1:
         raise ValueError("budget must be positive")
     best_gap = 0
+    period = op.period
     solved: dict[tuple[int, int], tuple[FiniteSolution, ...]] = {}
     for d, ray in ((1, "positive"), (-1, "negative")):
         blocks: list[FiniteSolution] = []
@@ -337,7 +339,7 @@ def build_lacunary(
             else:
                 target = max(len(gaps) + 2, 2 * gaps[-1] if gaps else 0)
                 edge = d * (_along(blocks[-1], d)[1] + target)
-            candidates = _first_blocks(op, d, edge, budget, solved)
+            candidates = _first_blocks(op, d, edge, budget, period, solved)
             if not candidates:
                 break
             found = min(candidates, key=lambda s: (_along(s, d)[::-1], s.values))

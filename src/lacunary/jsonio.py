@@ -6,6 +6,10 @@ format of its own.  Certificates have one reader, certificate_from_json,
 which returns the kind with the object, so the kind strings live here
 only.  A missing key, or an unknown key in any object but a finite solution
 (read thousands of times per certificate), names the object and the key.
+A certificate's finite solutions share the parse of each distinct values
+list of strings: reading costs one parse per distinct table and a lookup
+per solution, and the first bad solution is still the one reported.  A
+dense kernel vector parses each distinct string it holds once.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), sequence specs carry a "kind" discriminator, and dumps_canonical
 fixes key order and indentation so identical inputs give byte-identical
@@ -255,12 +259,38 @@ def finite_solution_to_json(x: FiniteSolution) -> dict:
 
 
 def finite_solution_from_json(data: Any) -> FiniteSolution:
+    return _finite_solution(data, {})
+
+
+def _finite_solution(
+    data: Any, tables: dict[tuple[str, ...], tuple[Fraction, ...]]
+) -> FiniteSolution:
+    """One finite solution; a values list found in `tables` takes its parsed table.
+
+    Only lists of strings are stored, and no other JSON value equals a
+    string, so `[true]` after `[1]` is still read, and rejected, entry by entry.
+    """
     if not isinstance(data, dict):
         raise ValueError("finite solution JSON must be an object")
-    return FiniteSolution(  # positional: binding keywords costs more, once per solution
-        _int(_key(data, "anchor", "finite solution"), "anchor"),
-        _list(_key(data, "values", "finite solution"), "values", parse_rational),
-    )
+    anchor = _int(_key(data, "anchor", "finite solution"), "anchor")
+    raw = _key(data, "values", "finite solution")
+    if isinstance(raw, list):
+        try:
+            values = tables.get(tuple(raw))
+        except TypeError:  # an unhashable entry
+            values = None
+        if values is not None:
+            return FiniteSolution(anchor, values)
+    solution = FiniteSolution(anchor, _list(raw, "values", parse_rational))
+    if all(type(text) is str for text in raw):
+        tables[tuple(raw)] = solution.values
+    return solution
+
+
+def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
+    """A list of finite solutions; each distinct values list is parsed once per call."""
+    tables: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
+    return _list(data, what, lambda item: _finite_solution(item, tables))
 
 
 def kernel_basis_to_json(kb: KernelBasis) -> dict:
@@ -282,7 +312,14 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
     w = _window_from_json(_key(data, "window", "kernel_basis"))
 
     def solution(vec: Any) -> FiniteSolution:
-        values = _list(vec, "vector", parse_rational)
+        if not isinstance(vec, list):
+            raise ValueError(f"vector must be a list, got {vec!r}")
+        if set(map(type, vec)) <= {str}:
+            # each distinct string once, in order of first use: the first bad entry raises
+            parsed = {text: parse_rational(text) for text in dict.fromkeys(vec)}
+            values = tuple(map(parsed.__getitem__, vec))
+        else:
+            values = tuple(map(parse_rational, vec))
         if len(values) != w.size:
             raise ValueError(f"kernel vector has {len(values)} entries, window has {w.size}")
         fs = FiniteSolution.from_values(w.lo, values)
@@ -308,7 +345,7 @@ def _dimension_certificate_from_json(data: dict) -> DimensionCertificate:
     return DimensionCertificate(
         k=_int(_key(data, "k", what), "k"),
         window=_window_from_json(_key(data, "window", what)),
-        solutions=_list(_key(data, "solutions", what), "solutions", finite_solution_from_json),
+        solutions=_finite_solutions(_key(data, "solutions", what), "solutions"),
     )
 
 
@@ -325,7 +362,7 @@ def _partial_lacunary_from_json(data: dict) -> PartialLacunarySolution:
     what = "partial_lacunary"
     _only_keys(data, ("kind", "ray", "blocks", "gap_profile"), what)
     return PartialLacunarySolution(
-        blocks=_list(_key(data, "blocks", what), "blocks", finite_solution_from_json),
+        blocks=_finite_solutions(_key(data, "blocks", what), "blocks"),
         gap_profile=_list(
             _key(data, "gap_profile", what), "gap_profile", lambda g: _int(g, "gap")
         ),
@@ -348,7 +385,7 @@ def _split_result_from_json(data: dict) -> Optional[DimensionCertificate]:
     dimension certificate.  An empty split certifies nothing.
     """
     _only_keys(data, ("kind", "window", "pieces"), "split_result")
-    pieces = _list(_key(data, "pieces", "split_result"), "pieces", finite_solution_from_json)
+    pieces = _finite_solutions(_key(data, "pieces", "split_result"), "pieces")
     window = _window_from_json(_key(data, "window", "split_result"))
     return DimensionCertificate(len(pieces), window, pieces) if pieces else None
 

@@ -25,10 +25,12 @@ from .sequences import (
     ZERO,
     FiniteTable,
     Periodic,
+    RationalLike,
     Record,
     ResiduePolynomial,
     SequenceSpec,
     Window,
+    _set,
     as_fraction,
 )
 
@@ -93,13 +95,16 @@ class FiniteSolution(Record):
     anchor: int
     values: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(map(as_fraction, self.values))
-        object.__setattr__(self, "values", values)
+    def __init__(self, anchor: int, values: Iterable[RationalLike]) -> None:
+        # its own constructor, not Record's generic binding: one is built per
+        # solution a certificate holds and per translate the block search makes
+        values = tuple(map(as_fraction, values))
         if not values:
             raise ValueError("empty value table")
         if not (values[0] and values[-1]):
             raise ValueError("value table must be trimmed to its support")
+        _set(self, "anchor", anchor)
+        _set(self, "values", values)
 
     @classmethod
     def from_values(
@@ -107,10 +112,14 @@ class FiniteSolution(Record):
     ) -> Optional["FiniteSolution"]:
         """Trim boundary zeros; None if every value is zero."""
         vals = tuple(map(as_fraction, values))
-        nonzero = [i for i, v in enumerate(vals) if v]
-        if not nonzero:
+        lo, hi = 0, len(vals)
+        while lo < hi and not vals[lo]:
+            lo += 1
+        if lo == hi:
             return None
-        return cls(anchor + nonzero[0], vals[nonzero[0] : nonzero[-1] + 1])
+        while not vals[hi - 1]:
+            hi -= 1
+        return cls(anchor + lo, vals[lo:hi])
 
     @property
     def min_support(self) -> int:

@@ -70,6 +70,11 @@ class Record:
 
     A class attribute named like a field is its default.  After binding the
     arguments, ``__post_init__`` may normalize a field with ``object.__setattr__``.
+    A subclass may define its own ``__init__`` instead, which sets every
+    field itself: `FiniteSolution` does, because certificates and the block
+    search build it thousands of times per command, and the generic binding
+    of arguments was most of that cost.  Equality, hashing, ``repr`` and
+    frozenness come from the fields either way.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

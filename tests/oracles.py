@@ -6,13 +6,21 @@ window systems assembled from unit-sequence residuals instead of the
 library's matrix constructor.  The two exceptions run on the library's
 kernel: symmetric_window_certify, an earlier certify search kept as a
 reference for the block sweep, and uncached_first_blocks, the block search
-with every window solved.
+with every window solved; per_entry_certificate reads a certificate's
+solutions with the library's parse_rational.
 """
 
 import math
 from fractions import Fraction
 
-from lacunary import DimensionCertificate, Inconclusive, Window, finite_support_kernel
+from lacunary import (
+    DimensionCertificate,
+    FiniteSolution,
+    Inconclusive,
+    Window,
+    finite_support_kernel,
+)
+from lacunary.jsonio import parse_rational
 
 
 def naive_rref(matrix):
@@ -204,3 +212,29 @@ def uncached_first_blocks(op, d, edge, budget, widen=False):
         if solutions:
             widen = False
         width *= 2
+
+
+def per_entry_certificate(data):
+    """The dimension certificate `data`, each solution read on its own, entry by entry.
+
+    The reference for the library's reader, which parses each distinct
+    table of a certificate once: here every entry of every solution goes
+    through parse_rational, and the checks run in the reader's order, so the
+    first bad solution raises the reader's ValueError.
+    """
+    solutions = []
+    for item in data["solutions"]:
+        if not isinstance(item, dict):
+            raise ValueError("finite solution JSON must be an object")
+        if "anchor" not in item:
+            raise ValueError("finite solution has no key 'anchor'")
+        anchor = item["anchor"]
+        if isinstance(anchor, bool) or not isinstance(anchor, int):
+            raise ValueError(f"anchor must be an integer, got {anchor!r}")
+        if "values" not in item:
+            raise ValueError("finite solution has no key 'values'")
+        values = item["values"]
+        if not isinstance(values, list):
+            raise ValueError(f"values must be a list, got {values!r}")
+        solutions.append(FiniteSolution(anchor, tuple(parse_rational(v) for v in values)))
+    return DimensionCertificate(data["k"], Window(*data["window"]), solutions)

@@ -695,7 +695,7 @@ def test_one_check_per_translation_class(monkeypatch):
 
 
 def test_block_search_matches_the_uncached_oracle():
-    def uncached(op, d, edge, budget, solved, widen=False):
+    def uncached(op, d, edge, budget, period, solved, widen=False):
         return uncached_first_blocks(op, d, edge, budget, widen)
 
     @settings(max_examples=30, deadline=None)
@@ -709,7 +709,7 @@ def test_block_search_matches_the_uncached_oracle():
             for d in (1, -1):
                 for widen in (False, True):
                     expected = uncached_first_blocks(op, d, edge, budget, widen)
-                    assert engine_mod._first_blocks(op, d, edge, budget, solved, widen) == expected
+                    assert engine_mod._first_blocks(op, d, edge, budget, op.period, solved, widen) == expected
         k = data.draw(st.integers(min_value=1, max_value=6))
         gap = data.draw(st.integers(min_value=1, max_value=12))
         cached = certify_dimension(op, k, budget), build_lacunary(op, gap, budget)
@@ -740,7 +740,7 @@ def test_block_search_solves_each_translation_class_once(monkeypatch):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 engine_mod, "_first_blocks",
-                lambda op, d, edge, budget, solved, widen=False:
+                lambda op, d, edge, budget, period, solved, widen=False:
                 uncached_first_blocks(op, d, edge, budget, widen),
             )
             assert search(*args) == out

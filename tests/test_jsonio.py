@@ -1,9 +1,10 @@
 """Round trips and canonical forms for the file formats."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lacunary import (
     DimensionCertificate,
@@ -20,6 +21,8 @@ from lacunary import (
     finite_support_kernel,
     split_lacunary,
 )
+from lacunary import jsonio
+from lacunary.cli import main
 from lacunary.corpus import (
     fibonacci_operator,
     geometric_lacunary_sequence,
@@ -43,6 +46,7 @@ from lacunary.jsonio import (
     split_result_to_json,
 )
 
+from .oracles import per_entry_certificate
 from .strategies import sequence_specs
 
 
@@ -206,6 +210,16 @@ def test_kernel_basis_from_json_rejections():
     kind, kb = certificate_from_json({"window": [3, 5], "vectors": [["0/1", "2/1", "0/1"]]})
     assert kind == "kernel_basis"
     assert kb.solutions == (FiniteSolution(4, (Fraction(2),)),)
+    # each distinct string is parsed once, but the first bad entry is the one reported
+    for vec, message in (
+        (["0/1", "a", "1/0", "b", "c", "a"], "got 'a'"),
+        (["0/1", "1/0", "a", "b", "c"], "zero denominator in rational '1/0'"),
+        ([1, "0/1", True, "a"], "got True"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json({"window": [0, len(vec) - 1], "vectors": [vec]})
+    _, kb = certificate_from_json({"window": [0, 3], "vectors": [[0, "2/4", 1, "0/1"]]})
+    assert kb.solutions == (FiniteSolution(1, (Fraction(1, 2), Fraction(1))),)
 
 
 def test_certificate_round_trip():
@@ -276,3 +290,149 @@ def test_dumps_canonical_is_byte_stable():
     assert a == b
     assert a.endswith("\n")
     assert a == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+
+
+SOLUTION_LIST_KINDS = ("dimension_certificate", "partial_lacunary", "split_result")
+
+
+def _with_solutions(kind, tables):
+    """A certificate of `kind` whose solutions hold `tables`, anchored at 1, 4, 10, ...
+
+    The anchors miss the multiples of 3, so one-entry tables solve
+    vanish_on_multiples_operator(2); the gaps 3, 6, 12 suit a partial.
+    """
+    anchors = [1, 4, 10, 22][: len(tables)]
+    solutions = [{"anchor": a, "values": t} for a, t in zip(anchors, tables)]
+    if kind == "dimension_certificate":
+        return {"kind": kind, "k": len(solutions), "window": [0, 30], "solutions": solutions}
+    if kind == "split_result":
+        return {"kind": kind, "window": [0, 30], "pieces": solutions}
+    gaps = [b - a for a, b in zip(anchors, anchors[1:])]
+    return {"kind": kind, "ray": "positive", "blocks": solutions, "gap_profile": gaps}
+
+
+def _verify(tmp_path, capsys, data):
+    op = tmp_path / "op.json"
+    op.write_text(dumps_canonical(operator_to_json(vanish_on_multiples_operator(2))))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    code = main(["verify", "--operator", str(op), "--certificate", str(cert)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("kind", SOLUTION_LIST_KINDS)
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        (["1/1"], [True], "expected a rational string 'p/q', got True"),
+        (["1/1"], [1.0], "expected a rational string 'p/q', got 1.0"),
+        (["1/1"], ["1/0"], "zero denominator in rational '1/0'"),
+        (["1/1"], [[1]], "expected a rational string 'p/q', got [1]"),
+        (["1/1"], [], "empty value table"),
+        # True == 1.0 == 1: a table of other entries than strings is never shared
+        ([1], [True], "expected a rational string 'p/q', got True"),
+        ([1], [1.0], "expected a rational string 'p/q', got 1.0"),
+        # no list but what a list of strings turns into: never a table found
+        (["1", "2"], "12", "values must be a list, got '12'"),
+        (["1/1"], {"1/1": 1}, "values must be a list, got {'1/1': 1}"),
+    ],
+)
+def test_a_bad_table_after_a_good_one_is_rejected(tmp_path, capsys, kind, good, bad, message):
+    # the good table is parsed first and shared; the bad one must still be
+    # read on its own, and reported before the later bad table ["x"]
+    data = _with_solutions(kind, [good, bad, ["x"]])
+    with pytest.raises(ValueError) as caught:
+        certificate_from_json(data)
+    assert str(caught.value) == message
+    assert _verify(tmp_path, capsys, data) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", SOLUTION_LIST_KINDS)
+def test_equal_tables_read_alike_whatever_their_spelling(tmp_path, capsys, kind):
+    data = _with_solutions(kind, [["1/1"], [1], ["2/2"], ["1/1"]])
+    _, cert = certificate_from_json(data)
+    solutions = cert.blocks if kind == "partial_lacunary" else cert.solutions
+    assert [s.values for s in solutions] == [(Fraction(1),)] * 4
+    code, out, err = _verify(tmp_path, capsys, data)
+    assert (code, json.loads(out)["valid"], err) == (0, True, "")
+
+
+def test_reading_parses_each_distinct_table_once(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(jsonio, "parse_rational", counting)
+    tables = (["1/1", "0/1", "-1/2"], ["2/3", "5/1", "7/1"])
+    n = 1000
+    data = {
+        "kind": "dimension_certificate", "k": n, "window": [0, 4 * n],
+        "solutions": [{"anchor": 4 * i, "values": tables[i % 2]} for i in range(n)],
+    }
+    _, cert = certificate_from_json(data)
+    assert len(calls) <= 2 * 3 < n
+    monkeypatch.undo()
+    assert cert.solutions == tuple(finite_solution_from_json(s) for s in data["solutions"])
+
+    # a dense kernel vector parses each distinct string it holds once
+    monkeypatch.setattr(jsonio, "parse_rational", counting)
+    calls.clear()
+    hi = 300
+    vectors = [["0/1"] * c + ["1/1"] + ["0/1"] * (hi - c) for c in range(1, hi + 1)]
+    _, kb = certificate_from_json({"window": [0, hi], "vectors": vectors})
+    assert len(calls) <= 2 * len(vectors)
+    assert kb.solutions == tuple(FiniteSolution(c, (Fraction(1),)) for c in range(1, hi + 1))
+
+
+# tables that parse, and tables that do not: equal values in other
+# spellings, entries that are no strings (True == 1 == 1.0), untrimmed,
+# empty and unhashable tables, and values that are no list at all
+GOOD_TABLES = [["1/1"], ["2/2"], [1], ["-3/4", "0/1", "5/1"], ["-3/4", 0, "5"]]
+BAD_TABLES = [
+    ["1/1", "0/1"], ["0/1"], [], [True], [1.0], ["1/0"], [[1]], ["x"], [None], "1/1", {"1/1": 1},
+]
+
+
+@st.composite
+def solution_lists(draw):
+    """Solution objects anchored 10 apart, now and then malformed."""
+    items = []
+    entries = st.sampled_from(["0/1", "1/1", "-1/2", "2/4", 3, "7", True, 1.0])
+    tables = st.one_of(
+        st.sampled_from(GOOD_TABLES * 3 + BAD_TABLES), st.lists(entries, max_size=4)
+    )
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        item = {"anchor": 10 * i + 1, "values": draw(tables)}
+        shape = draw(st.sampled_from(["ok"] * 12 + ["no anchor", "bad anchor", "no values", 7]))
+        if shape == "no anchor":
+            del item["anchor"]
+        elif shape == "bad anchor":
+            item["anchor"] = str(item["anchor"])
+        elif shape == "no values":
+            del item["values"]
+        elif shape == 7:
+            item = 7
+        items.append(item)
+    return items
+
+
+@settings(max_examples=200, deadline=None)
+@given(solution_lists())
+def test_solution_reader_matches_the_per_entry_oracle(items):
+    data = {
+        "kind": "dimension_certificate", "k": len(items), "window": [0, 10 * len(items)],
+        "solutions": items,
+    }
+
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as e:
+            return str(e)
+
+    assert outcome(lambda: certificate_from_json(data)[1]) == outcome(
+        lambda: per_entry_certificate(data)
+    )

@@ -81,10 +81,46 @@ def test_finite_solution_invariants():
     assert x.value_at(3) == 0 and x.value_at(100) == 0
 
 
+def test_finite_solution_keeps_the_record_contract():
+    # FiniteSolution has its own constructor; everything else is Record's
+    x = FiniteSolution(2, (Fraction(1), 0, "3/4"))
+    assert x.values == (Fraction(1), Fraction(0), Fraction(3, 4))
+    assert all(type(v) is Fraction for v in x.values)
+    assert FiniteSolution(anchor=2, values=x.values) == x == FiniteSolution(2, values=[1, 0, "3/4"])
+    assert hash(FiniteSolution(values=[1, 0, "3/4"], anchor=2)) == hash(x)
+    assert x != FiniteSolution(3, x.values) and x != (2, x.values)
+    assert repr(FiniteSolution(-1, (Fraction(1, 2),))) == (
+        "FiniteSolution(anchor=-1, values=(Fraction(1, 2),))"
+    )
+    for name in ("anchor", "values", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    for name in ("anchor", "values"):
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.anchor, x.values) == (2, (Fraction(1), Fraction(0), Fraction(3, 4)))
+    for values, error, message in (
+        ((), ValueError, "empty value table"),
+        ((0, 1), ValueError, "value table must be trimmed to its support"),
+        ((1, 0), ValueError, "value table must be trimmed to its support"),
+        ((1, 0.5), TypeError, "floats are not allowed; pass Fraction, int, or 'p/q'"),
+        ((True,), TypeError, "bool is not a rational value"),
+    ):
+        with pytest.raises(error) as caught:
+            FiniteSolution(0, values)
+        assert str(caught.value) == message
+    for args, kwargs in (((0,), {}), ((0, (1,), 2), {}), ((0,), {"vals": (1,)})):
+        with pytest.raises(TypeError):
+            FiniteSolution(*args, **kwargs)
+
+
 def test_finite_solution_from_values_trims():
     x = FiniteSolution.from_values(0, (Fraction(0), Fraction(2), Fraction(0)))
     assert x == FiniteSolution(1, (Fraction(2),))
     assert FiniteSolution.from_values(5, (Fraction(0), Fraction(0))) is None
+    assert FiniteSolution.from_values(5, ()) is None
+    assert FiniteSolution.from_values(-3, (1, 0, 2)) == FiniteSolution(-3, (1, 0, 2))
+    assert FiniteSolution.from_values(-3, (0, 0, 1, 0, 2, 0)) == FiniteSolution(-1, (1, 0, 2))
 
 
 def test_operator_period():
