@@ -29,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from operator import eq
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .linalg import KernelBasis, VerificationFailure, _eliminate, finite_support_kernel
-from .operators import FiniteSolution, OperatorSpec, first_residual, is_global_solution_finite
+from .operators import FiniteSolution, OperatorSpec, _first_non_solution, first_residual
 from .sequences import ZERO, FiniteTable, Record, SequenceSpec, Window, _support_points
 
 __all__ = [
@@ -239,27 +239,25 @@ def split_lacunary(op: OperatorSpec, x: SequenceSpec, w: Window) -> list[FiniteS
 
     After the windowed residual check passes, the runs it returns are the
     support of x inside w segmented at maximal zero runs of length >= r+1,
-    walked once.  A segment qualifies
-    as a piece only if it has at least r+1 verified zeros on both sides
-    inside the window (segments flush against a window edge are dropped:
-    their completeness cannot be checked).  Qualifying pieces are genuine
-    global solutions with pairwise disjoint supports, returned leftmost
-    first.  An empty list means no cut qualified, which is not an error.
+    walked once.  A segment qualifies as a piece only if it has at least
+    r+1 verified zeros on both sides inside the window (segments flush
+    against a window edge are dropped: their completeness cannot be
+    checked).  Qualifying pieces are re-checked as global solutions, once
+    per translation class, and have pairwise disjoint supports; they are
+    returned leftmost first.  An empty list means no cut qualified, which
+    is not an error.
     """
     r = op.order
     segments = windowed_residual_check(op, x, w)
-    pieces = []
-    for i, (lo, hi) in enumerate(segments):
-        left_ok = i > 0 or lo - w.lo >= r + 1
-        right_ok = i < len(segments) - 1 or w.hi - hi >= r + 1
-        if not (left_ok and right_ok):
-            continue
-        piece = FiniteSolution(lo, tuple(x.value_at(n) for n in range(lo, hi + 1)))
-        if not is_global_solution_finite(op, piece):
-            raise VerificationFailure(
-                f"piece anchored at {lo} fails residual re-verification"
-            )
-        pieces.append(piece)
+    last = len(segments) - 1
+    pieces = [
+        FiniteSolution(lo, tuple(x.value_at(n) for n in range(lo, hi + 1)))
+        for i, (lo, hi) in enumerate(segments)
+        if (i > 0 or lo - w.lo >= r + 1) and (i < last or w.hi - hi >= r + 1)
+    ]
+    bad = _first_non_solution(op, pieces)
+    if bad is not None:
+        raise VerificationFailure(f"piece anchored at {bad.anchor} fails residual re-verification")
     return pieces
 
 
@@ -356,30 +354,6 @@ def build_lacunary(
         reason=f"no gap of {min_gap} reached within budget {budget} on either ray",
         best_gap=best_gap if best_gap else None,
     )
-
-
-def _first_non_solution(
-    op: OperatorSpec, solutions: Iterable[FiniteSolution]
-) -> Optional[FiniteSolution]:
-    """The first of the solutions that fails L x = 0, or None if all pass.
-
-    Each is checked by the complete finite check, is_global_solution_finite.
-    If the coefficients have a common period p, L commutes with translation
-    by p, so a translate by a multiple of p solves L exactly when the
-    original does: one check per (anchor mod p, values) class decides them
-    all.  Without a period every solution is checked.
-    """
-    p = op.period
-    if p is None:
-        return next((s for s in solutions if not is_global_solution_finite(op, s)), None)
-    passed: set[tuple[int, tuple[Fraction, ...]]] = set()
-    for s in solutions:
-        key = (s.anchor % p, s.values)
-        if key not in passed:
-            if not is_global_solution_finite(op, s):
-                return s
-            passed.add(key)
-    return None
 
 
 def verify_dimension_certificate(op: OperatorSpec, cert: DimensionCertificate) -> bool:

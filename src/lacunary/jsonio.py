@@ -9,7 +9,8 @@ only.  A missing key, or an unknown key in any object but a finite solution
 A certificate's finite solutions share the parse of each distinct values
 list of strings: reading costs one parse per distinct table and a lookup
 per solution, and the first bad solution is still the one reported.  A
-dense kernel vector parses each distinct string it holds once.
+dense kernel vector parses each distinct string it holds once.  Both
+memos last for one read; nothing is cached across reads.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), sequence specs carry a "kind" discriminator, and dumps_canonical
 fixes key order and indentation so identical inputs give byte-identical
@@ -18,7 +19,6 @@ output files.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from fractions import Fraction
@@ -48,7 +48,6 @@ __all__ = [
     "corpus_entry_to_json",
     "dimension_certificate_to_json",
     "dumps_canonical",
-    "finite_solution_from_json",
     "finite_solution_to_json",
     "format_rational",
     "inconclusive_to_json",
@@ -75,24 +74,14 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def parse_rational(text: Any) -> Fraction:
     """A JSON integer, or a string "p/q" or "p" in ASCII digits; nothing else."""
-    if isinstance(text, str):
-        return _parse_rational_string(text)
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {text!r}") from None
     if isinstance(text, bool) or not isinstance(text, int):
         raise ValueError(f"expected a rational string 'p/q', got {text!r}")
     return Fraction(text)
-
-
-# Certificates repeat a few strings ("0/1", "1/1") many times over: parse each
-# once.  Only strings reach the cache, so True never meets the entry of 1, and
-# a rejected string raises again on every call (exceptions are not cached).
-@functools.lru_cache(maxsize=1024)
-def _parse_rational_string(text: str) -> Fraction:
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"expected a rational string 'p/q', got {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 def _key(data: dict, key: str, what: str) -> Any:
@@ -256,10 +245,6 @@ def finite_solution_to_json(x: FiniteSolution) -> dict:
         "anchor": x.anchor,
         "values": [format_rational(v) for v in x.values],
     }
-
-
-def finite_solution_from_json(data: Any) -> FiniteSolution:
-    return _finite_solution(data, {})
 
 
 def _finite_solution(

@@ -9,7 +9,8 @@ leading and trailing coefficients may vanish at individual points; nothing
 here assumes them invertible.  This module evaluates residuals, walks
 the equations near a support for the first that fails (the one walk
 behind every residual check), verifies finite-support global solutions
-by a complete finite check, builds the linear system that a window of
+by a complete finite check (once per translation class: the one re-check
+that kernel, split and verify share), builds the linear system that a window of
 unknowns must satisfy as band rows (each equation touches at most r + 1
 consecutive unknowns, so it is stored as its first column and those
 entries), and issues residue-class disjointness certificates.
@@ -178,6 +179,28 @@ def is_global_solution_finite(op: OperatorSpec, x: FiniteSolution) -> bool:
     """
     support = [x.anchor + i for i, v in enumerate(x.values) if v]
     return first_residual(op, x, support, x.anchor - op.order, x.max_support) is None
+
+
+def _first_non_solution(
+    op: OperatorSpec, solutions: Iterable[FiniteSolution]
+) -> Optional[FiniteSolution]:
+    """The first of the solutions that fails L x = 0, or None if all pass.
+
+    The one re-check of finite solutions: each (anchor mod p, values) class
+    is decided by one is_global_solution_finite, p the common period.  L
+    commutes with translation by p, so a translate by a multiple of p
+    solves L exactly when the original does.  Without a period the class
+    is (anchor, values), so every distinct solution is checked.
+    """
+    p = op.period
+    passed: set[tuple[int, tuple[Fraction, ...]]] = set()
+    for s in solutions:
+        key = (s.anchor if p is None else s.anchor % p, s.values)
+        if key not in passed:
+            if not is_global_solution_finite(op, s):
+                return s
+            passed.add(key)
+    return None
 
 
 BandRow = tuple[int, Sequence[Fraction]]

@@ -533,7 +533,7 @@ def test_verify_partial_lacunary_matches_dense_check(op, foreign, min_gap, data)
             expected = dense_partial_check(L, partial)
             assert verify_partial_lacunary(L, partial) == (blocks_ok and expected)
             # without the block checks the assembled sum alone decides
-            with mock.patch.object(engine_mod, "is_global_solution_finite", lambda *_: True):
+            with mock.patch.object(engine_mod, "_first_non_solution", lambda *_: None):
                 assert verify_partial_lacunary(L, partial) == expected
 
 
@@ -543,7 +543,7 @@ def test_assembled_check_alone_catches_a_foreign_end_block():
     # 3 and 6 are multiples of 3, where this operator's unit solutions fail
     first = PartialLacunarySolution((FiniteSolution(3, unit), FiniteSolution(7, unit)), (4,), "positive")
     last = PartialLacunarySolution((FiniteSolution(1, unit), FiniteSolution(6, unit)), (5,), "positive")
-    with mock.patch.object(engine_mod, "is_global_solution_finite", lambda *_: True):
+    with mock.patch.object(engine_mod, "_first_non_solution", lambda *_: None):
         for partial in (first, last):
             assert not dense_partial_check(op, partial)
             assert not verify_partial_lacunary(op, partial)
@@ -662,13 +662,13 @@ def test_every_solution_is_checked_without_a_period():
 
 def test_one_check_per_translation_class(monkeypatch):
     checked = []
-    original = engine_mod.is_global_solution_finite
+    original = operators_mod.is_global_solution_finite
 
     def counting(op, x):
         checked.append((x.anchor % 3, x.values))
         return original(op, x)
 
-    monkeypatch.setattr(engine_mod, "is_global_solution_finite", counting)
+    monkeypatch.setattr(operators_mod, "is_global_solution_finite", counting)
     op = vanish_on_multiples_operator(2)
     assert op.period == 3
     one, pair = (Fraction(1),), (Fraction(1), Fraction(0), Fraction(1))

@@ -62,6 +62,43 @@ def test_no_unused_imports(path):
     assert not sorted(_imported(tree) - _used(tree) - _exported(tree))
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_unreferenced_private_functions_classes_or_methods():
+    """A private def nothing in the library refers to is dead code, such as a
+    routine left behind where it used to live; so is one that its own module
+    also imports, since one binding shadows the other."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(lacunary.__file__).parent.glob("*.py")
+    }
+    defs = (ast.FunctionDef, ast.ClassDef)
+    loaded = {m: {n.id for n in ast.walk(t) if isinstance(n, ast.Name)} for m, t in trees.items()}
+    imported = {  # (module, name) pairs that `from .module import name` reaches
+        (node.module, a.name)
+        for t in trees.values()
+        for node in ast.walk(t)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    }
+    attrs = {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defs) and _private(node.name):
+                name = node.name
+                if (module, name) not in imported and name not in loaded[module]:
+                    dead.append(f"{module}.{name}")
+                if name in _imported(tree):
+                    dead.append(f"{module}.{name} (also imported)")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, defs) and _private(method.name) and method.name not in attrs:
+                    dead.append(f"{module}.{node.name}.{method.name}")
+    assert not sorted(dead)
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from lacunary import *", namespace)

@@ -14,13 +14,18 @@ from lacunary import (
     Periodic,
     ResidueMask,
     ResiduePolynomial,
+    VerificationFailure,
     Window,
     finite_support_kernel,
     is_global_solution_finite,
     residual,
     residue_certificate,
+    split_lacunary,
     window_matrix,
 )
+from lacunary import engine as engine_mod
+from lacunary import linalg as linalg_mod
+from lacunary import operators as operators_mod
 from lacunary.corpus import (
     coefficient_masks,
     fibonacci_operator,
@@ -64,6 +69,68 @@ def test_is_global_solution_finite():
     fib = fibonacci_operator()
     assert not is_global_solution_finite(fib, FiniteSolution(0, (Fraction(1),)))
     assert is_global_solution_finite(zero_operator(), FiniteSolution(0, (Fraction(9),)))
+
+
+def rebind_check(monkeypatch, check):
+    """Put `check` in place of is_global_solution_finite wherever the library binds it."""
+    monkeypatch.undo()  # any earlier rebinding
+    for module in (operators_mod, linalg_mod, engine_mod):
+        if vars(module).get("is_global_solution_finite") is is_global_solution_finite:
+            monkeypatch.setattr(module, "is_global_solution_finite", check)
+
+
+def test_kernel_rechecks_one_vector_per_translation_class(monkeypatch):
+    checked = []
+    rebind_check(monkeypatch, lambda op, x: checked.append(x) or is_global_solution_finite(op, x))
+    kb = finite_support_kernel(vanish_on_multiples_operator(2), Window(0, 200))
+    assert kb.dimension == 134
+    # L commutes with translation by its period 3: one check per (anchor mod 3, values)
+    assert len(checked) <= 2
+    assert {(x.anchor % 3, x.values) for x in checked} == {
+        (s.anchor % 3, s.values) for s in kb.solutions
+    }
+
+
+def test_kernel_and_split_name_the_first_rejected_solution(monkeypatch):
+    def rejecting(bad):
+        return lambda op, x: not bad(x) and is_global_solution_finite(op, x)
+
+    # a(n) x(n) = 0 with a nonzero only at 0: no period, every unit off 0 solves it
+    op = OperatorSpec((FiniteTable(0, (Fraction(1),)),))
+    assert op.period is None
+    x = FiniteTable(2, tuple(map(Fraction, (1, 0, 5, 0, 0, 7))))
+    assert [s.anchor for s in finite_support_kernel(op, Window(0, 7)).solutions] == [
+        1, 2, 3, 4, 5, 6, 7,
+    ]
+    assert [p.anchor for p in split_lacunary(op, x, Window(0, 10))] == [2, 4, 7]
+    rebind_check(monkeypatch, rejecting(lambda x: x.anchor in (3, 5)))
+    with pytest.raises(
+        VerificationFailure, match=r"^kernel vector anchored at 3 fails residual re-verification$"
+    ):
+        finite_support_kernel(op, Window(0, 7))
+    rebind_check(monkeypatch, rejecting(lambda x: x.anchor in (4, 7)))
+    with pytest.raises(
+        VerificationFailure, match=r"^piece anchored at 4 fails residual re-verification$"
+    ):
+        split_lacunary(op, x, Window(0, 10))
+
+    # with a period a class passes or fails as one: its first member is named
+    monkeypatch.undo()
+    vanish = vanish_on_multiples_operator(2)
+    assert [s.anchor for s in finite_support_kernel(vanish, Window(0, 12)).solutions] == [
+        1, 2, 4, 5, 7, 8, 10, 11,
+    ]
+    rebind_check(monkeypatch, rejecting(lambda x: x.anchor % 3 == 2))
+    with pytest.raises(
+        VerificationFailure, match=r"^kernel vector anchored at 2 fails residual re-verification$"
+    ):
+        finite_support_kernel(vanish, Window(0, 12))
+    # pieces {4, 7}, {13}, {25}, {49}, {97}: the units form one class, first at 13
+    rebind_check(monkeypatch, rejecting(lambda x: x.values == (Fraction(1),)))
+    with pytest.raises(
+        VerificationFailure, match=r"^piece anchored at 13 fails residual re-verification$"
+    ):
+        split_lacunary(vanish, geometric_lacunary_sequence(2), Window(0, 100))
 
 
 def test_finite_solution_invariants():
