@@ -75,7 +75,9 @@ class DimensionCertificate(Record):
     Disjoint supports make the solutions linearly independent, so a valid
     certificate proves the solution space has dimension at least k.  All
     structural invariants are enforced here; the residual checks against a
-    concrete operator live in verify_dimension_certificate.
+    concrete operator live in verify_dimension_certificate.  Solutions are
+    grouped by table object and each table's entries are read once, so
+    solutions that share a table (as read certificates do) cost no entry reads.
     """
 
     k: int
@@ -90,14 +92,22 @@ class DimensionCertificate(Record):
             raise ValueError("certificate must contain exactly k solutions")
         # one sorted list of every support point: disjoint iff no point repeats
         lo, hi = self.window.lo, self.window.hi
-        points: list[int] = []
+        starts: dict[int, list] = {}  # id of a table -> [the table, its anchors...]
         leaves = False
         for s in self.solutions:
             anchor, values = s.anchor, s.values
             if anchor < lo or anchor + len(values) - 1 > hi:
                 leaves = True
                 break  # an overlap among the solutions before it is reported first
-            points += [anchor + i for i, v in enumerate(values) if v]
+            group = starts.get(id(values))
+            if group is None:
+                group = starts[id(values)] = [values]
+            group.append(anchor)
+        points: list[int] = []
+        for values, *anchors in starts.values():
+            for i, v in enumerate(values):
+                if v:
+                    points += map(i.__add__, anchors)
         points.sort()
         if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("solution supports are not pairwise disjoint")
@@ -300,7 +310,8 @@ def _first_blocks(
             key = (lo - shift, hi - lo)
             if key not in solved:
                 solved[key] = finite_support_kernel(op, Window(lo - shift, hi - shift)).solutions
-            solutions = tuple(FiniteSolution(s.anchor + shift, s.values) for s in solved[key])
+            translate = FiniteSolution._trusted  # a verified table, not checked again
+            solutions = tuple(translate(s.anchor + shift, s.values) for s in solved[key])
         if hi - lo + 1 < width or (solutions and not widen):
             return solutions
         widen = widen and not solutions  # widen once past the first hit

@@ -6,11 +6,11 @@ format of its own.  Certificates have one reader, certificate_from_json,
 which returns the kind with the object, so the kind strings live here
 only.  A missing key, or an unknown key in any object but a finite solution
 (read thousands of times per certificate), names the object and the key.
-A certificate's finite solutions share the parse of each distinct values
-list of strings: reading costs one parse per distinct table and a lookup
-per solution, and the first bad solution is still the one reported.  A
-dense kernel vector parses each distinct string it holds once.  Both
-memos last for one read; nothing is cached across reads.
+A certificate's finite solutions share the parsed and checked table of
+each distinct values list of strings: reading costs one parse per distinct
+table and a lookup per solution, and the first bad solution is still the
+one reported.  A dense kernel vector parses, and tests for zero, each
+distinct string it holds once.  Both memos last for one read.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), sequence specs carry a "kind" discriminator, and dumps_canonical
 fixes key order and indentation so identical inputs give byte-identical
@@ -247,35 +247,36 @@ def finite_solution_to_json(x: FiniteSolution) -> dict:
     }
 
 
-def _finite_solution(
-    data: Any, tables: dict[tuple[str, ...], tuple[Fraction, ...]]
-) -> FiniteSolution:
-    """One finite solution; a values list found in `tables` takes its parsed table.
-
-    Only lists of strings are stored, and no other JSON value equals a
-    string, so `[true]` after `[1]` is still read, and rejected, entry by entry.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("finite solution JSON must be an object")
-    anchor = _int(_key(data, "anchor", "finite solution"), "anchor")
-    raw = _key(data, "values", "finite solution")
-    if isinstance(raw, list):
-        try:
-            values = tables.get(tuple(raw))
-        except TypeError:  # an unhashable entry
-            values = None
-        if values is not None:
-            return FiniteSolution(anchor, values)
-    solution = FiniteSolution(anchor, _list(raw, "values", parse_rational))
-    if all(type(text) is str for text in raw):
-        tables[tuple(raw)] = solution.values
-    return solution
-
-
 def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
-    """A list of finite solutions; each distinct values list is parsed once per call."""
+    """A list of finite solutions; each distinct values list is parsed and checked once.
+
+    An object with an int anchor and a values list already read takes its
+    checked table as it is; any other item is read and checked in full, so
+    the first bad one is still reported.  Only lists of strings are stored,
+    and no other JSON value equals a string, so `[true]` after `[1]` is
+    still read, and rejected, entry by entry.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list, got {data!r}")
     tables: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
-    return _list(data, what, lambda item: _finite_solution(item, tables))
+    solutions = []
+    for item in data:
+        if type(item) is dict and type(raw := item.get("values")) is list:
+            try:
+                values = tables.get(tuple(raw))
+            except TypeError:  # an unhashable entry
+                values = None
+            if values is not None and type(anchor := item.get("anchor")) is int:
+                solutions.append(FiniteSolution._trusted(anchor, values))
+                continue
+        if not isinstance(item, dict):
+            raise ValueError("finite solution JSON must be an object")
+        anchor = _int(_key(item, "anchor", "finite solution"), "anchor")
+        raw = _key(item, "values", "finite solution")
+        solutions.append(FiniteSolution(anchor, _list(raw, "values", parse_rational)))
+        if all(type(text) is str for text in raw):
+            tables[tuple(raw)] = solutions[-1].values
+    return tuple(solutions)
 
 
 def kernel_basis_to_json(kb: KernelBasis) -> dict:
@@ -302,15 +303,17 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
         if set(map(type, vec)) <= {str}:
             # each distinct string once, in order of first use: the first bad entry raises
             parsed = {text: parse_rational(text) for text in dict.fromkeys(vec)}
-            values = tuple(map(parsed.__getitem__, vec))
-        else:
-            values = tuple(map(parse_rational, vec))
-        if len(values) != w.size:
-            raise ValueError(f"kernel vector has {len(values)} entries, window has {w.size}")
-        fs = FiniteSolution.from_values(w.lo, values)
-        if fs is None:
+        else:  # each entry on its own: as keys, 1 and True would be one
+            parsed = dict(enumerate(map(parse_rational, vec)))
+            vec = range(len(vec))
+        if len(vec) != w.size:
+            raise ValueError(f"kernel vector has {len(vec)} entries, window has {w.size}")
+        # trimmed on the keys: zero-ness is decided once per distinct key
+        is_zero = list(map({key for key, v in parsed.items() if not v}.__contains__, vec))
+        if all(is_zero):
             raise ValueError("zero vector in kernel basis")
-        return fs
+        lo, hi = is_zero.index(False), len(vec) - is_zero[::-1].index(False)
+        return FiniteSolution(w.lo + lo, map(parsed.__getitem__, vec[lo:hi]))
 
     return KernelBasis(w, _list(_key(data, "vectors", "kernel_basis"), "vectors", solution))
 

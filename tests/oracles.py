@@ -91,6 +91,36 @@ def every_equation_check(op, x):
     return dense_windowed_check(op, x, w) is None
 
 
+def trimmed_solution(anchor, values):
+    """values placed from anchor, boundary zeros cut; None if every value is zero."""
+    nonzero = [i for i, v in enumerate(values) if v]
+    if not nonzero:
+        return None
+    return FiniteSolution(anchor + nonzero[0], tuple(values[nonzero[0] : nonzero[-1] + 1]))
+
+
+def naive_verify_certificate(op, k, window, solutions):
+    """The verdict on a dimension certificate, decided pair by pair and equation by equation.
+
+    For a well-formed certificate, whether every solution passes
+    every_equation_check.  Otherwise the library's message: the solutions
+    are taken in order up to the first that leaves the window, and two of
+    those with intersecting support sets are reported before it.
+    """
+    if k != len(solutions):
+        return "certificate must contain exactly k solutions"
+    inside = []
+    for s in solutions:
+        if s.min_support < window.lo or s.max_support > window.hi:
+            break
+        inside.append({s.anchor + i for i, v in enumerate(s.values) if v != 0})
+    if any(a & b for i, a in enumerate(inside) for b in inside[i + 1 :]):
+        return "solution supports are not pairwise disjoint"
+    if len(inside) < len(solutions):
+        return "solution support leaves the certificate window"
+    return all(every_equation_check(op, s) for s in solutions)
+
+
 def pairwise_residue_conflicts(coeff_masks, sol_mask):
     """Every (k, rho, tau) with rho + k = tau mod the lcm modulus, trying all pairs."""
     m = math.lcm(sol_mask.modulus, *(mask.modulus for mask in coeff_masks))

@@ -76,6 +76,13 @@ periodic_operators = st.integers(min_value=1, max_value=3).flatmap(
     ).map(lambda cs: OperatorSpec(tuple(cs)))
 )
 
+# any coefficient kinds: a period only when every one has one
+spec_operators = st.integers(min_value=1, max_value=3).flatmap(
+    lambda r: st.lists(sequence_specs, min_size=r + 1, max_size=r + 1).map(
+        lambda cs: OperatorSpec(tuple(cs))
+    )
+)
+
 small_matrices = st.integers(min_value=1, max_value=7).flatmap(
     lambda nc: st.lists(
         st.lists(small_fractions, min_size=nc, max_size=nc),

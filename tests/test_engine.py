@@ -42,10 +42,19 @@ from . import oracles
 from .oracles import (
     dense_windowed_check,
     every_equation_check,
+    naive_verify_certificate,
     symmetric_window_certify,
+    trimmed_solution,
     uncached_first_blocks,
 )
-from .strategies import periodic_operators, residue_operators, sequence_specs, windows
+from .strategies import (
+    periodic_operators,
+    residue_operators,
+    sequence_specs,
+    small_fractions,
+    spec_operators,
+    windows,
+)
 
 
 def fib_table(count):
@@ -220,6 +229,26 @@ def test_dimension_certificate_disjointness_is_by_support_points():
     shared = (FiniteSolution(9, one), pair, FiniteSolution(2, one))  # 2 twice, not adjacent
     with pytest.raises(ValueError, match="not pairwise disjoint"):
         DimensionCertificate(3, Window(0, 9), shared)
+
+
+def test_dimension_certificate_reads_the_support_of_each_table():
+    one, pair = (Fraction(1),), (Fraction(1), Fraction(0), Fraction(1))
+    # solutions share table objects; each object's offsets are found once
+    shared = tuple(
+        FiniteSolution(a + d, t) for a in range(0, 60, 6) for d, t in ((0, pair), (1, one))
+    )
+    DimensionCertificate(20, Window(0, 56), shared)
+    # equal length, other zeros: {0, 2} and {1, 2, 3} meet at 2
+    full = (Fraction(1),) * 3
+    with pytest.raises(ValueError, match="not pairwise disjoint"):
+        DimensionCertificate(2, Window(0, 3), (FiniteSolution(0, pair), FiniteSolution(1, full)))
+    # equal tables in other objects read alike: {0, 2} and {3, 5}, then {5, 7}
+    twin = tuple(map(Fraction, (1, 0, 1)))
+    assert twin == pair and twin is not pair
+    pairs = (FiniteSolution(0, pair), FiniteSolution(3, twin))
+    DimensionCertificate(2, Window(0, 5), pairs)
+    with pytest.raises(ValueError, match="not pairwise disjoint"):
+        DimensionCertificate(3, Window(0, 7), pairs + (FiniteSolution(5, pair),))
 
 
 def test_dimension_certificate_error_precedence():
@@ -647,6 +676,64 @@ def test_translation_classes_match_the_every_equation_oracle():
 
     agrees()
     assert outcomes == {True, False}
+
+
+def test_certificates_match_the_naive_verify_oracle():
+    outcomes = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(residue_operators, spec_operators), st.data())
+    def agrees(op, data):
+        step = op.period or 1
+        # kernel vectors and their translates by multiples of a period solve L;
+        # the planted table, a tampered kernel vector (same length, other
+        # zeros) or else a random table, mostly does not
+        kernel = finite_support_kernel(op, Window(-6, 6)).solutions
+        if kernel:
+            s = data.draw(st.sampled_from(kernel))
+            values = list(s.values)
+            j = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+            values[j] = values[j] + 1 or Fraction(2)
+            planted = FiniteSolution(s.anchor, tuple(values))
+        else:
+            body = data.draw(st.lists(small_fractions, min_size=1, max_size=4))
+            planted = trimmed_solution(0, body) or FiniteSolution(0, (Fraction(1),))
+        tables = data.draw(st.lists(st.sampled_from(kernel), max_size=5)) if kernel else []
+        at = data.draw(st.integers(min_value=0, max_value=len(tables)))
+        tables.insert(at, planted)
+        shape = data.draw(st.sampled_from(["disjoint", "close", "overlap", "leaves"]))
+        # close solutions interleave, overlapping or not by their zeros
+        spread = data.draw(st.sampled_from([1, 2, 3])) if shape == "close" else 16 * step
+        offsets = st.sampled_from([0, 0, step, 1])
+        placed = [
+            FiniteSolution(t.anchor + j * spread + data.draw(offsets), t.values)
+            for j, t in enumerate(tables)
+        ]
+        if shape == "overlap":  # the first solution once more, at the end
+            placed.append(placed[0])
+        for solutions in (placed, placed[:at] + placed[at + 1 :]):
+            if not solutions:
+                continue
+            lo = min(s.min_support for s in solutions)
+            hi = max(s.max_support for s in solutions)
+            if shape == "leaves":  # the window misses one end of the hull
+                lo, hi = data.draw(st.sampled_from([(lo + 1, hi), (lo, hi - 1)]))
+            window = Window(lo, max(lo, hi))
+            expected = naive_verify_certificate(op, len(solutions), window, solutions)
+            try:
+                cert = DimensionCertificate(len(solutions), window, tuple(solutions))
+            except ValueError as e:
+                assert str(e) == expected
+            else:
+                assert verify_dimension_certificate(op, cert) == expected
+            outcomes.add(expected)
+
+    agrees()
+    assert outcomes == {
+        True, False,
+        "solution supports are not pairwise disjoint",
+        "solution support leaves the certificate window",
+    }
 
 
 def test_every_solution_is_checked_without_a_period():

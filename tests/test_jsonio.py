@@ -20,6 +20,7 @@ from lacunary import (
     certify_dimension,
     finite_support_kernel,
     split_lacunary,
+    verify_dimension_certificate,
 )
 from lacunary import jsonio
 from lacunary.cli import main
@@ -387,6 +388,69 @@ def test_reading_parses_each_distinct_table_once(monkeypatch):
     assert kb.solutions == tuple(FiniteSolution(c, (Fraction(1),)) for c in range(1, hi + 1))
 
 
+def test_reading_and_verifying_cost_per_distinct_table(monkeypatch):
+    counts = {"__init__": 0, "__bool__": 0, "__hash__": 0}
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    op = vanish_on_multiples_operator(2)
+    r = op.order
+    # supports 6j + 1 and {6j + 5, 6j + 8} miss the multiples of 3, and each other
+    tables = (["1/1"], ["-1/2", "0/1", "0/1", "3/1"])
+    length = max(map(len, tables))
+    n = 1000
+    data = {
+        "kind": "dimension_certificate", "k": n, "window": [1, 3 * n + 2],
+        "solutions": [{"anchor": 3 * i + 1 + i % 2, "values": tables[i % 2]} for i in range(n)],
+    }
+    counting(FiniteSolution, "__init__")
+    counting(Fraction, "__bool__")
+    counting(Fraction, "__hash__")
+    _, cert = certificate_from_json(data)
+    assert verify_dimension_certificate(op, cert)
+    # per table: one checked table, one offset list, one hash and one residual
+    # check, whose equations meet each entry at most (r + 1)^2 times
+    assert counts["__init__"] <= len(tables)
+    assert counts["__bool__"] <= 2 * len(tables) * length * (r + 1) ** 2 < n
+    assert counts["__hash__"] <= len(tables) * length
+    monkeypatch.undo()
+    assert cert == per_entry_certificate(data)
+
+
+def test_dense_vectors_are_trimmed_on_their_strings():
+    lo = -2
+
+    def read(*vectors):
+        _, kb = certificate_from_json({"window": [lo, lo + 3], "vectors": list(vectors)})
+        return kb.solutions
+
+    half, two = Fraction(1, 2), Fraction(2)
+    # zero is decided on the parsed strings, however zero is spelled
+    assert read(["0/3", "2/4", "-0", "0/1"]) == (FiniteSolution(lo + 1, (half,)),)
+    assert read(["2/1", "0/7", "-0/5", "1/2"]) == (FiniteSolution(lo, (two, 0, 0, half)),)
+    # entries that are no strings are read each on its own, and trimmed alike
+    assert read([0, "1/2", 0, 2]) == (FiniteSolution(lo + 1, (half, 0, two)),)
+    # a bad entry, then a wrong length, then a zero vector
+    for vectors, message in (
+        ([["0/1", "x"]], "expected a rational string 'p/q', got 'x'"),
+        ([["0/1", 0, True]], "expected a rational string 'p/q', got True"),
+        ([["0/1", "1/1", "0/1"]], "kernel vector has 3 entries, window has 4"),
+        ([[0, 1, 0, 0, 0]], "kernel vector has 5 entries, window has 4"),
+        ([["1/1"] + ["0/1"] * 3, ["0/3", "-0", "0/1", "0/9"]], "zero vector in kernel basis"),
+        ([[0, "0/1", 0, "-0"]], "zero vector in kernel basis"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            read(*vectors)
+        assert str(caught.value) == message
+
+
 # tables that parse, and tables that do not: equal values in other
 # spellings, entries that are no strings (True == 1 == 1.0), untrimmed,
 # empty and unhashable tables, and values that are no list at all
@@ -398,13 +462,33 @@ BAD_TABLES = [
 
 @st.composite
 def solution_lists(draw):
-    """Solution objects anchored 10 apart, now and then malformed."""
+    """Solution objects anchored 10 apart, now and then malformed.
+
+    Half of them open with a run of one table of strings, which the reader
+    has stored by its second solution, and then a malformed item: one the
+    stored table must not be used for.
+    """
     items = []
+    if draw(st.booleans()):
+        good = draw(st.sampled_from([t for t in GOOD_TABLES if set(map(type, t)) == {str}]))
+        run = draw(st.integers(min_value=1, max_value=4))
+        items = [{"anchor": 10 * i + 1, "values": list(good)} for i in range(run)]
+        anchor = 10 * run + 1
+        items.append(draw(st.sampled_from([
+            7,
+            ["1/1"],
+            {"anchor": True, "values": list(good)},
+            {"anchor": False, "values": list(good)},
+            {"anchor": anchor, "values": "".join(good)},
+            {"anchor": anchor, "values": good[:-1] + [draw(st.sampled_from([3, True, 1.0]))]},
+            {"anchor": anchor, "values": list(good) + ["0/1"]},
+            {"anchor": anchor, "values": ["0/1"] + list(good)},
+        ])))
     entries = st.sampled_from(["0/1", "1/1", "-1/2", "2/4", 3, "7", True, 1.0])
     tables = st.one_of(
         st.sampled_from(GOOD_TABLES * 3 + BAD_TABLES), st.lists(entries, max_size=4)
     )
-    for i in range(draw(st.integers(min_value=1, max_value=8))):
+    for i in range(len(items), len(items) + draw(st.integers(min_value=1, max_value=8))):
         item = {"anchor": 10 * i + 1, "values": draw(tables)}
         shape = draw(st.sampled_from(["ok"] * 12 + ["no anchor", "bad anchor", "no values", 7]))
         if shape == "no anchor":

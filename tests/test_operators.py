@@ -1,6 +1,7 @@
 """Operators: residuals, finite-solution verification, window systems, masks."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from lacunary.corpus import (
     zero_operator,
 )
 
-from .oracles import densify, every_equation_check, pairwise_residue_conflicts
+from .oracles import densify, every_equation_check, pairwise_residue_conflicts, trimmed_solution
 from .strategies import (
     periodic_operators,
     residue_operators,
@@ -69,6 +70,22 @@ def test_is_global_solution_finite():
     fib = fibonacci_operator()
     assert not is_global_solution_finite(fib, FiniteSolution(0, (Fraction(1),)))
     assert is_global_solution_finite(zero_operator(), FiniteSolution(0, (Fraction(9),)))
+
+
+def test_first_non_solution_keeps_each_table_it_knows_by_identity():
+    # a generator frees each solution once it is checked; were its table not
+    # kept, a later table could take its id and pass as the table that had it
+    op = vanish_on_multiples_operator(2)
+    good, bad = (1, 0, 1), (1, 1, 1)  # anchored at 2 mod 3, bad is nonzero at a multiple
+    n = 10_000
+
+    def fresh():
+        for i in range(n):
+            yield FiniteSolution(3 * i + 2, tuple(map(Fraction, bad if i == n - 1 else good)))
+
+    found = operators_mod._first_non_solution(op, fresh())
+    assert found == FiniteSolution(3 * n - 1, tuple(map(Fraction, bad)))
+    assert operators_mod._first_non_solution(op, islice(fresh(), n - 1)) is None
 
 
 def rebind_check(monkeypatch, check):
@@ -181,15 +198,6 @@ def test_finite_solution_keeps_the_record_contract():
             FiniteSolution(*args, **kwargs)
 
 
-def test_finite_solution_from_values_trims():
-    x = FiniteSolution.from_values(0, (Fraction(0), Fraction(2), Fraction(0)))
-    assert x == FiniteSolution(1, (Fraction(2),))
-    assert FiniteSolution.from_values(5, (Fraction(0), Fraction(0))) is None
-    assert FiniteSolution.from_values(5, ()) is None
-    assert FiniteSolution.from_values(-3, (1, 0, 2)) == FiniteSolution(-3, (1, 0, 2))
-    assert FiniteSolution.from_values(-3, (0, 0, 1, 0, 2, 0)) == FiniteSolution(-1, (1, 0, 2))
-
-
 def test_operator_period():
     def period(*coeffs):
         return OperatorSpec(coeffs).period
@@ -268,7 +276,7 @@ def test_window_matrix_band_structure(op, lo, length):
 def test_is_global_matches_support_confined_nullspace(op, data):
     anchor = data.draw(st.integers(min_value=-6, max_value=6))
     body = data.draw(st.lists(small_fractions, min_size=1, max_size=5))
-    x = FiniteSolution.from_values(anchor, body)
+    x = trimmed_solution(anchor, body)
     if x is None:
         return
     w = Window(x.min_support, x.max_support)
@@ -480,6 +488,6 @@ def test_certified_masks_kill_masked_solutions(data):
     anchor = data.draw(st.integers(min_value=-10, max_value=10))
     body = data.draw(st.lists(small_fractions, min_size=1, max_size=6))
     masked = [v if sol_mask.admits(anchor + i) else Fraction(0) for i, v in enumerate(body)]
-    x = FiniteSolution.from_values(anchor, masked)
+    x = trimmed_solution(anchor, masked)
     if x is not None:
         assert is_global_solution_finite(op, x)
