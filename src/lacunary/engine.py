@@ -27,7 +27,7 @@ finite-dimensional; these are semi-algorithms by nature.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 from typing import Iterator, Optional, Union
 
@@ -75,9 +75,8 @@ class DimensionCertificate(Record):
     Disjoint supports make the solutions linearly independent, so a valid
     certificate proves the solution space has dimension at least k.  All
     structural invariants are enforced here; the residual checks against a
-    concrete operator live in verify_dimension_certificate.  Solutions are
-    grouped by table object and each table's entries are read once, so
-    solutions that share a table (as read certificates do) cost no entry reads.
+    concrete operator live in verify_dimension_certificate.  Solutions that
+    share a table object (as read certificates do) share one offset scan.
     """
 
     k: int
@@ -99,15 +98,10 @@ class DimensionCertificate(Record):
             if anchor < lo or anchor + len(values) - 1 > hi:
                 leaves = True
                 break  # an overlap among the solutions before it is reported first
-            group = starts.get(id(values))
-            if group is None:
-                group = starts[id(values)] = [values]
-            group.append(anchor)
+            starts.setdefault(id(values), [values]).append(anchor)
         points: list[int] = []
-        for values, *anchors in starts.values():
-            for i, v in enumerate(values):
-                if v:
-                    points += map(i.__add__, anchors)
+        for table, *at in starts.values():
+            points += chain.from_iterable(map(i.__add__, at) for i, v in enumerate(table) if v)
         points.sort()
         if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("solution supports are not pairwise disjoint")

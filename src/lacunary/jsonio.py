@@ -250,11 +250,10 @@ def finite_solution_to_json(x: FiniteSolution) -> dict:
 def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
     """A list of finite solutions; each distinct values list is parsed and checked once.
 
-    An object with an int anchor and a values list already read takes its
-    checked table as it is; any other item is read and checked in full, so
-    the first bad one is still reported.  Only lists of strings are stored,
-    and no other JSON value equals a string, so `[true]` after `[1]` is
-    still read, and rejected, entry by entry.
+    An object with an int anchor and a values list already read takes that
+    checked table; any other item is read in full, so the first bad one is
+    still reported.  Only lists of strings are stored (no other JSON value
+    equals a string), so `[true]` after `[1]` is read entry by entry.
     """
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list, got {data!r}")
@@ -308,7 +307,6 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
             vec = range(len(vec))
         if len(vec) != w.size:
             raise ValueError(f"kernel vector has {len(vec)} entries, window has {w.size}")
-        # trimmed on the keys: zero-ness is decided once per distinct key
         is_zero = list(map({key for key, v in parsed.items() if not v}.__contains__, vec))
         if all(is_zero):
             raise ValueError("zero vector in kernel basis")

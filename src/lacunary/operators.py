@@ -90,10 +90,8 @@ class FiniteSolution(Record):
 
     The table must start and end with a nonzero entry, so support bounds
     are read off directly and equal sequences are structurally equal.  The
-    identically zero sequence is not a FiniteSolution.  A table the
-    constructor has checked can be shared by later solutions through
-    `_trusted`, which checks nothing: the certificate reader and the block
-    search's translates build one per solution at no cost per entry.
+    identically zero sequence is not a FiniteSolution.  `_trusted` builds
+    one, checking nothing, on a table an earlier constructor call checked.
     """
 
     anchor: int
@@ -109,6 +107,21 @@ class FiniteSolution(Record):
             raise ValueError("value table must be trimmed to its support")
         _set(self, "anchor", anchor)
         _set(self, "values", values)
+
+    @classmethod
+    def from_values(
+        cls, anchor: int, values: Iterable[Fraction]
+    ) -> Optional["FiniteSolution"]:
+        """Trim boundary zeros; None if every value is zero."""
+        vals = tuple(map(as_fraction, values))
+        lo, hi = 0, len(vals)
+        while lo < hi and not vals[lo]:
+            lo += 1
+        if lo == hi:
+            return None
+        while not vals[hi - 1]:
+            hi -= 1
+        return cls(anchor + lo, vals[lo:hi])
 
     @classmethod
     def _trusted(cls, anchor: int, values: tuple[Fraction, ...]) -> "FiniteSolution":
@@ -185,20 +198,17 @@ def _first_non_solution(
     is decided by one is_global_solution_finite, p the common period.  L
     commutes with translation by p, so a translate by a multiple of p
     solves L exactly when the original does.  Without a period the class
-    is (anchor, values), so every distinct solution is checked.  Each
-    distinct table stands for its values by a small int, found by identity
-    and else by content, so a table shared by many solutions is hashed once.
-    The tables are kept while the walk runs: a freed one's id could return.
+    is (anchor, values), so every distinct solution is checked.  A table
+    is hashed once: it gets an int by content, then is found by identity
+    (held, so a freed table's id cannot come back as another's).
     """
     p = op.period
     passed: set[tuple[int, int]] = set()
     by_id: dict[int, tuple[tuple[Fraction, ...], int]] = {}
     by_content: dict[tuple[Fraction, ...], int] = {}
     for s in solutions:
-        values = s.values
-        held = by_id.get(id(values))
-        if held is None:
-            held = by_id[id(values)] = values, by_content.setdefault(values, len(by_content))
+        if (held := by_id.get(id(s.values))) is None:
+            held = by_id[id(s.values)] = s.values, by_content.setdefault(s.values, len(by_content))
         key = (s.anchor if p is None else s.anchor % p, held[1])
         if key not in passed:
             if not is_global_solution_finite(op, s):

@@ -91,14 +91,6 @@ def every_equation_check(op, x):
     return dense_windowed_check(op, x, w) is None
 
 
-def trimmed_solution(anchor, values):
-    """values placed from anchor, boundary zeros cut; None if every value is zero."""
-    nonzero = [i for i, v in enumerate(values) if v]
-    if not nonzero:
-        return None
-    return FiniteSolution(anchor + nonzero[0], tuple(values[nonzero[0] : nonzero[-1] + 1]))
-
-
 def naive_verify_certificate(op, k, window, solutions):
     """The verdict on a dimension certificate, decided pair by pair and equation by equation.
 

@@ -44,7 +44,6 @@ from .oracles import (
     every_equation_check,
     naive_verify_certificate,
     symmetric_window_certify,
-    trimmed_solution,
     uncached_first_blocks,
 )
 from .strategies import (
@@ -697,7 +696,7 @@ def test_certificates_match_the_naive_verify_oracle():
             planted = FiniteSolution(s.anchor, tuple(values))
         else:
             body = data.draw(st.lists(small_fractions, min_size=1, max_size=4))
-            planted = trimmed_solution(0, body) or FiniteSolution(0, (Fraction(1),))
+            planted = FiniteSolution.from_values(0, body) or FiniteSolution(0, (Fraction(1),))
         tables = data.draw(st.lists(st.sampled_from(kernel), max_size=5)) if kernel else []
         at = data.draw(st.integers(min_value=0, max_value=len(tables)))
         tables.insert(at, planted)
