@@ -32,16 +32,13 @@ from .engine import (
 )
 from .jsonio import (
     certificate_from_json,
-    corpus_entry_to_json,
-    dimension_certificate_to_json,
     dumps_canonical,
-    inconclusive_to_json,
     kernel_basis_to_json,
     manifest_to_json,
     operator_from_json,
-    partial_lacunary_to_json,
     sequence_from_json,
     split_result_to_json,
+    to_json,
 )
 from .linalg import KernelBasis, VerificationFailure, finite_support_kernel
 from .sequences import Window
@@ -136,13 +133,13 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
         text = [f"inconclusive: {outcome.reason}"]
         if outcome.best_kernel_dim is not None:
             text.append(f"  disjoint solutions found: {outcome.best_kernel_dim}")
-        return EXIT_INCONCLUSIVE, inconclusive_to_json(outcome), text
+        return EXIT_INCONCLUSIVE, to_json(outcome), text
     w = outcome.window
     text = [
         f"certificate: solution space dimension >= {outcome.k}",
         f"  {outcome.k} disjoint-support solutions inside [{w.lo}, {w.hi}]",
     ]
-    return EXIT_OK, dimension_certificate_to_json(outcome), text
+    return EXIT_OK, to_json(outcome), text
 
 
 def _cmd_split(args) -> tuple[int, dict, list[str]]:
@@ -165,12 +162,12 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
     outcome = build_lacunary(op, gap, budget)
     if isinstance(outcome, Inconclusive):
         text = [f"inconclusive: {outcome.reason}"]
-        return EXIT_INCONCLUSIVE, inconclusive_to_json(outcome), text
+        return EXIT_INCONCLUSIVE, to_json(outcome), text
     text = [
         f"partial lacunary solution on the {outcome.ray} ray: "
         f"{len(outcome.blocks)} blocks, gap profile {list(outcome.gap_profile)}"
     ]
-    return EXIT_OK, partial_lacunary_to_json(outcome), text
+    return EXIT_OK, to_json(outcome), text
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
@@ -202,7 +199,7 @@ def _cmd_corpus(args) -> tuple[int, dict, list[str]]:
     except KeyError as exc:  # its message, not the repr str(KeyError) gives
         raise ValueError(exc.args[0]) from None
     text = [f"{entry.name}: order {entry.operator.order}, {len(entry.known_facts)} known facts"]
-    return EXIT_OK, corpus_entry_to_json(entry), text
+    return EXIT_OK, to_json(entry), text
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -290,22 +290,19 @@ def _first_blocks(
     [lo, hi] is the one on [lo mod p, ...] shifted by a multiple of p, and
     the kernel basis is canonical, so `solved` keeps the verified basis of
     each (lo mod p, hi - lo) and a window of that class gets its
-    translate.  Without a period every window is solved.
+    translate.  Without a period the shift is 0, so a class is one window.
     """
     if abs(edge) > budget:
         return ()
     width = op.order + 1
+    translate = FiniteSolution._trusted  # a verified table, not checked again
     while True:
         lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
-        if period is None:
-            solutions = finite_support_kernel(op, Window(lo, hi)).solutions
-        else:
-            shift = lo - lo % period
-            key = (lo - shift, hi - lo)
-            if key not in solved:
-                solved[key] = finite_support_kernel(op, Window(lo - shift, hi - shift)).solutions
-            translate = FiniteSolution._trusted  # a verified table, not checked again
-            solutions = tuple(translate(s.anchor + shift, s.values) for s in solved[key])
+        shift = lo - lo % period if period else 0
+        key = (lo - shift, hi - lo)
+        if key not in solved:
+            solved[key] = finite_support_kernel(op, Window(lo - shift, hi - shift)).solutions
+        solutions = tuple(translate(s.anchor + shift, s.values) for s in solved[key])
         if hi - lo + 1 < width or (solutions and not widen):
             return solutions
         widen = widen and not solutions  # widen once past the first hit
@@ -374,10 +371,12 @@ class _SparseSum(dict):
 
 
 def verify_partial_lacunary(op: OperatorSpec, partial: PartialLacunarySolution) -> bool:
-    """Re-check every block and their sum, read from the disjoint blocks."""
+    """Re-check every block and their sum, the nonzero entries of the disjoint blocks."""
     if _first_non_solution(op, partial.blocks) is not None:
         return False
-    total = _SparseSum((b.anchor + i, v) for b in partial.blocks for i, v in enumerate(b.values))
+    total = _SparseSum(
+        (b.anchor + i, v) for b in partial.blocks for i, v in enumerate(b.values) if v
+    )
     support = sorted(total)
     return first_residual(op, total, support, support[0] - op.order, support[-1]) is None
 

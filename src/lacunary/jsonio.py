@@ -2,19 +2,22 @@
 
 Every wire format lives here, certificates and the corpus manifest
 included: the command line calls these readers and writers and holds no
-format of its own.  Certificates have one reader, certificate_from_json,
-which returns the kind with the object, so the kind strings live here
-only.  A missing key, or an unknown key in any object but a finite solution
-(read thousands of times per certificate), names the object and the key.
+format of its own.  A tagged kind (a sequence spec, a certificate or an
+outcome) is an object of its Record fields and a "kind" tag: to_json
+writes every kind, and _record_from_json reads one through one reader
+per field name, so a kind's keys are listed once, as its fields.  Certificates
+have one reader, certificate_from_json, which returns the kind with the
+object, so the kind strings live here only.  A missing key, or an unknown
+key in any object but a finite solution (read thousands of times per
+certificate), names the object and the key.
 A certificate's finite solutions share the parsed and checked table of
 each distinct values list of strings: reading costs one parse per distinct
 table and a lookup per solution, and the first bad solution is still the
 one reported.  A dense kernel vector parses, and tests for zero, each
 distinct string it holds once.  Both memos last for one read.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
-zero), sequence specs carry a "kind" discriminator, and dumps_canonical
-fixes key order and indentation so identical inputs give byte-identical
-output files.
+zero), and dumps_canonical fixes key order and indentation so identical
+inputs give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -35,32 +38,27 @@ from .sequences import (
     FiniteTable,
     GeometricSupport,
     Periodic,
+    Record,
     ResiduePolynomial,
     SequenceSpec,
     Window,
 )
 
 if TYPE_CHECKING:
-    from .corpus import CorpusEntry, KnownFact
+    from .corpus import CorpusEntry
 
 __all__ = [
     "certificate_from_json",
-    "corpus_entry_to_json",
-    "dimension_certificate_to_json",
     "dumps_canonical",
-    "finite_solution_to_json",
     "format_rational",
-    "inconclusive_to_json",
     "kernel_basis_to_json",
-    "known_fact_to_json",
     "manifest_to_json",
     "operator_from_json",
     "operator_to_json",
     "parse_rational",
-    "partial_lacunary_to_json",
     "sequence_from_json",
-    "sequence_to_json",
     "split_result_to_json",
+    "to_json",
 ]
 
 
@@ -116,56 +114,55 @@ def _bool(value: Any, what: str) -> bool:
     return value
 
 
-def _window_to_json(w: Window) -> list[int]:
-    return [w.lo, w.hi]
-
-
-def _window_from_json(data: Any) -> Window:
+def _window_from_json(data: Any, what: str) -> Window:
     if not (isinstance(data, list) and len(data) == 2):
-        raise ValueError(f"window must be [lo, hi], got {data!r}")
-    return Window(_int(data[0], "window lo"), _int(data[1], "window hi"))
+        raise ValueError(f"{what} must be [lo, hi], got {data!r}")
+    return Window(_int(data[0], f"{what} lo"), _int(data[1], f"{what} hi"))
 
 
-def sequence_to_json(spec: SequenceSpec) -> dict:
-    if isinstance(spec, FiniteTable):
-        return {
-            "kind": "finite_table",
-            "anchor": spec.anchor,
-            "values": [format_rational(v) for v in spec.values],
-            "default": format_rational(spec.default),
-        }
-    if isinstance(spec, Periodic):
-        return {
-            "kind": "periodic",
-            "period": spec.period,
-            "values": [format_rational(v) for v in spec.values],
-            "offset": spec.offset,
-        }
-    if isinstance(spec, ResiduePolynomial):
-        return {
-            "kind": "residue_poly",
-            "modulus": spec.modulus,
-            "per_class": {
-                str(residue): [format_rational(c) for c in poly]
-                for residue, poly in sorted(spec.per_class.items())
-            },
-        }
-    if isinstance(spec, GeometricSupport):
-        return {
-            "kind": "geometric_support",
-            "scale": spec.scale,
-            "shift": spec.shift,
-            "value": format_rational(spec.value),
-            "allow_negative_m": spec.allow_negative_m,
-        }
-    raise ValueError(f"not a sequence spec: {spec!r}")
+# the "kind" tag of each tagged Record: written by to_json, compared by the readers
+_KINDS = {
+    FiniteTable: "finite_table",
+    Periodic: "periodic",
+    ResiduePolynomial: "residue_poly",
+    GeometricSupport: "geometric_support",
+    DimensionCertificate: "dimension_certificate",
+    PartialLacunarySolution: "partial_lacunary",
+    Inconclusive: "inconclusive",
+}
+
+
+def to_json(value: Any) -> Any:
+    """The JSON form of a value: a Record is an object of its fields.
+
+    A tagged kind adds its "kind", a field that is None is left out, and an
+    operator also carries its order.  Rationals become "p/q", windows
+    [lo, hi], tuples lists, and dict keys strings.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(key): to_json(v) for key, v in value.items()}
+    if isinstance(value, Window):
+        return [value.lo, value.hi]
+    if isinstance(value, OperatorSpec):
+        return operator_to_json(value)
+    if not isinstance(value, Record):
+        return value
+    out = {"kind": _KINDS[type(value)]} if type(value) in _KINDS else {}
+    for name in value._fields:
+        if (field := getattr(value, name)) is not None:
+            out[name] = to_json(field)
+    return out
 
 
 _CLASS_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 def _class_key(key: Any, modulus: int) -> int:
-    """A residue class key as written by sequence_to_json: canonical, below modulus.
+    """A residue class key as to_json writes it: canonical, below modulus.
 
     Anything else could name one class twice ("1" and "01"), one key
     silently overwriting the other.
@@ -177,73 +174,14 @@ def _class_key(key: Any, modulus: int) -> int:
     return int(key)
 
 
-def sequence_from_json(data: Any) -> SequenceSpec:
+def _per_class(data: Any, modulus: int) -> dict[int, tuple[Fraction, ...]]:
     if not isinstance(data, dict):
-        raise ValueError(f"sequence spec must be a JSON object, got {data!r}")
-    kind = data.get("kind")
-    if kind == "finite_table":
-        _only_keys(data, ("kind", "anchor", "values", "default"), kind)
-        return FiniteTable(
-            anchor=_int(_key(data, "anchor", kind), "anchor"),
-            values=_list(_key(data, "values", kind), "values", parse_rational),
-            default=parse_rational(data.get("default", "0/1")),
-        )
-    if kind == "periodic":
-        _only_keys(data, ("kind", "period", "values", "offset"), kind)
-        return Periodic(
-            period=_int(_key(data, "period", kind), "period"),
-            values=_list(_key(data, "values", kind), "values", parse_rational),
-            offset=_int(data.get("offset", 0), "offset"),
-        )
-    if kind == "residue_poly":
-        _only_keys(data, ("kind", "modulus", "per_class"), kind)
-        per_class = _key(data, "per_class", kind)
-        if not isinstance(per_class, dict):
-            raise ValueError(f"per_class must be a JSON object, got {per_class!r}")
-        modulus = _int(_key(data, "modulus", kind), "modulus")
-        if modulus < 1:  # before the keys, whose bound it is
-            raise ValueError("modulus must be positive")
-        per_class = {
-            _class_key(residue, modulus): _list(poly, "polynomial", parse_rational)
-            for residue, poly in per_class.items()
-        }
-        return ResiduePolynomial(modulus=modulus, per_class=per_class)
-    if kind == "geometric_support":
-        _only_keys(data, ("kind", "scale", "shift", "value", "allow_negative_m"), kind)
-        return GeometricSupport(
-            scale=_int(_key(data, "scale", kind), "scale"),
-            shift=_int(data.get("shift", 0), "shift"),
-            value=parse_rational(data.get("value", "1/1")),
-            allow_negative_m=_bool(data.get("allow_negative_m", False), "allow_negative_m"),
-        )
-    raise ValueError(f"unknown sequence kind: {kind!r}")
-
-
-def operator_to_json(op: OperatorSpec) -> dict:
+        raise ValueError(f"per_class must be a JSON object, got {data!r}")
+    if modulus < 1:  # before the keys, whose bound it is
+        raise ValueError("modulus must be positive")
     return {
-        "order": op.order,
-        "coeffs": [sequence_to_json(a) for a in op.coeffs],
-    }
-
-
-def operator_from_json(data: Any) -> OperatorSpec:
-    if not isinstance(data, dict):
-        raise ValueError("operator JSON must be an object with a 'coeffs' list")
-    _only_keys(data, ("order", "coeffs"), "operator")
-    coeffs = _list(_key(data, "coeffs", "operator"), "coeffs", sequence_from_json)
-    op = OperatorSpec(coeffs)
-    declared = data.get("order", op.order)  # optional, but never null
-    if _int(declared, "order") != op.order:
-        raise ValueError(
-            f"declared order {declared} does not match {len(coeffs)} coefficients"
-        )
-    return op
-
-
-def finite_solution_to_json(x: FiniteSolution) -> dict:
-    return {
-        "anchor": x.anchor,
-        "values": [format_rational(v) for v in x.values],
+        _class_key(residue, modulus): _list(poly, "polynomial", parse_rational)
+        for residue, poly in data.items()
     }
 
 
@@ -278,11 +216,76 @@ def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
     return tuple(solutions)
 
 
+# The reader of each field of the tagged kinds, called with the JSON value and
+# the field's name; per_class gets the modulus read before it instead.
+_FIELDS: dict[str, Callable[[Any, Any], Any]] = {
+    **dict.fromkeys(
+        ("anchor", "period", "offset", "modulus", "scale", "shift", "k", "best_kernel_dim",
+         "best_gap"),
+        _int,
+    ),
+    **dict.fromkeys(("default", "value"), lambda value, what: parse_rational(value)),
+    **dict.fromkeys(("solutions", "blocks"), _finite_solutions),
+    # PartialLacunarySolution checks its ray itself; a reason is free text
+    **dict.fromkeys(("ray", "reason"), lambda value, what: value),
+    "values": lambda value, what: _list(value, what, parse_rational),
+    "allow_negative_m": _bool,
+    "window": _window_from_json,
+    "gap_profile": lambda value, what: _list(value, what, lambda g: _int(g, "gap")),
+    "per_class": _per_class,
+}
+
+
+def _record_from_json(cls: type, data: dict, what: str) -> Any:
+    """The Record of class cls written as data: each field read by its reader, in order.
+
+    A missing field takes the class's default, or is an error naming `what`
+    and the key.
+    """
+    _only_keys(data, ("kind", *cls._fields), what)
+    fields: dict[str, Any] = {}
+    for name in cls._fields:
+        if name in data:
+            arg = fields["modulus"] if name == "per_class" else name
+            fields[name] = _FIELDS[name](data[name], arg)
+        elif name not in cls._defaults:
+            raise ValueError(f"{what} has no key {name!r}")
+    return cls(**fields)
+
+
+def sequence_from_json(data: Any) -> SequenceSpec:
+    if not isinstance(data, dict):
+        raise ValueError(f"sequence spec must be a JSON object, got {data!r}")
+    kind = data.get("kind")  # compared, never looked up: it may be any JSON value
+    for cls in (FiniteTable, Periodic, ResiduePolynomial, GeometricSupport):
+        if kind == _KINDS[cls]:
+            return _record_from_json(cls, data, kind)
+    raise ValueError(f"unknown sequence kind: {kind!r}")
+
+
+def operator_to_json(op: OperatorSpec) -> dict:
+    return {"order": op.order, "coeffs": to_json(op.coeffs)}
+
+
+def operator_from_json(data: Any) -> OperatorSpec:
+    if not isinstance(data, dict):
+        raise ValueError("operator JSON must be an object with a 'coeffs' list")
+    _only_keys(data, ("order", "coeffs"), "operator")
+    coeffs = _list(_key(data, "coeffs", "operator"), "coeffs", sequence_from_json)
+    op = OperatorSpec(coeffs)
+    declared = data.get("order", op.order)  # optional, but never null
+    if _int(declared, "order") != op.order:
+        raise ValueError(
+            f"declared order {declared} does not match {len(coeffs)} coefficients"
+        )
+    return op
+
+
 def kernel_basis_to_json(kb: KernelBasis) -> dict:
     """The one dense form: each solution as a row of values across the window."""
     w = kb.window
     return {
-        "window": _window_to_json(w),
+        "window": to_json(w),
         "vectors": [
             ["0/1"] * (s.anchor - w.lo)
             + [format_rational(v) for v in s.values]
@@ -294,7 +297,7 @@ def kernel_basis_to_json(kb: KernelBasis) -> dict:
 
 def _kernel_basis_from_json(data: dict) -> KernelBasis:
     _only_keys(data, ("window", "vectors"), "kernel_basis")
-    w = _window_from_json(_key(data, "window", "kernel_basis"))
+    w = _window_from_json(_key(data, "window", "kernel_basis"), "window")
 
     def solution(vec: Any) -> FiniteSolution:
         if not isinstance(vec, list):
@@ -316,52 +319,8 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
     return KernelBasis(w, _list(_key(data, "vectors", "kernel_basis"), "vectors", solution))
 
 
-def dimension_certificate_to_json(cert: DimensionCertificate) -> dict:
-    return {
-        "kind": "dimension_certificate",
-        "k": cert.k,
-        "window": _window_to_json(cert.window),
-        "solutions": [finite_solution_to_json(s) for s in cert.solutions],
-    }
-
-
-def _dimension_certificate_from_json(data: dict) -> DimensionCertificate:
-    what = "dimension_certificate"
-    _only_keys(data, ("kind", "k", "window", "solutions"), what)
-    return DimensionCertificate(
-        k=_int(_key(data, "k", what), "k"),
-        window=_window_from_json(_key(data, "window", what)),
-        solutions=_finite_solutions(_key(data, "solutions", what), "solutions"),
-    )
-
-
-def partial_lacunary_to_json(partial: PartialLacunarySolution) -> dict:
-    return {
-        "kind": "partial_lacunary",
-        "ray": partial.ray,
-        "blocks": [finite_solution_to_json(b) for b in partial.blocks],
-        "gap_profile": list(partial.gap_profile),
-    }
-
-
-def _partial_lacunary_from_json(data: dict) -> PartialLacunarySolution:
-    what = "partial_lacunary"
-    _only_keys(data, ("kind", "ray", "blocks", "gap_profile"), what)
-    return PartialLacunarySolution(
-        blocks=_finite_solutions(_key(data, "blocks", what), "blocks"),
-        gap_profile=_list(
-            _key(data, "gap_profile", what), "gap_profile", lambda g: _int(g, "gap")
-        ),
-        ray=_key(data, "ray", what),
-    )
-
-
 def split_result_to_json(window: Window, pieces: Sequence[FiniteSolution]) -> dict:
-    return {
-        "kind": "split_result",
-        "window": _window_to_json(window),
-        "pieces": [finite_solution_to_json(p) for p in pieces],
-    }
+    return {"kind": "split_result", "window": to_json(window), "pieces": to_json(pieces)}
 
 
 def _split_result_from_json(data: dict) -> Optional[DimensionCertificate]:
@@ -372,32 +331,8 @@ def _split_result_from_json(data: dict) -> Optional[DimensionCertificate]:
     """
     _only_keys(data, ("kind", "window", "pieces"), "split_result")
     pieces = _finite_solutions(_key(data, "pieces", "split_result"), "pieces")
-    window = _window_from_json(_key(data, "window", "split_result"))
+    window = _window_from_json(_key(data, "window", "split_result"), "window")
     return DimensionCertificate(len(pieces), window, pieces) if pieces else None
-
-
-def inconclusive_to_json(outcome: Inconclusive) -> dict:
-    out: dict[str, Any] = {"kind": "inconclusive", "reason": outcome.reason}
-    if outcome.best_kernel_dim is not None:
-        out["best_kernel_dim"] = outcome.best_kernel_dim
-    if outcome.best_gap is not None:
-        out["best_gap"] = outcome.best_gap
-    return out
-
-
-def known_fact_to_json(fact: KnownFact) -> dict:
-    return {"check": fact.check, "args": fact.args, "expected": fact.expected}
-
-
-def corpus_entry_to_json(entry: CorpusEntry) -> dict:
-    out: dict[str, Any] = {
-        "name": entry.name,
-        "operator": operator_to_json(entry.operator),
-        "known_facts": [known_fact_to_json(f) for f in entry.known_facts],
-    }
-    if entry.sequence is not None:
-        out["sequence"] = sequence_to_json(entry.sequence)
-    return out
 
 
 def manifest_to_json(entries: Sequence[CorpusEntry]) -> dict:
@@ -408,7 +343,7 @@ def manifest_to_json(entries: Sequence[CorpusEntry]) -> dict:
                 "name": e.name,
                 "order": e.operator.order,
                 "has_sequence": e.sequence is not None,
-                "known_facts": [known_fact_to_json(f) for f in e.known_facts],
+                "known_facts": to_json(e.known_facts),
             }
             for e in entries
         ]
@@ -426,9 +361,9 @@ def certificate_from_json(data: Any) -> tuple[str, Any]:
         raise ValueError("expected a JSON object")
     kind = data.get("kind")  # compared, never looked up: it may be any JSON value
     if kind == "dimension_certificate":
-        return kind, _dimension_certificate_from_json(data)
+        return kind, _record_from_json(DimensionCertificate, data, kind)
     if kind == "partial_lacunary":
-        return kind, _partial_lacunary_from_json(data)
+        return kind, _record_from_json(PartialLacunarySolution, data, kind)
     if kind == "split_result":
         return kind, _split_result_from_json(data)
     if kind is not None:

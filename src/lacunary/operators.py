@@ -109,21 +109,6 @@ class FiniteSolution(Record):
         _set(self, "values", values)
 
     @classmethod
-    def from_values(
-        cls, anchor: int, values: Iterable[Fraction]
-    ) -> Optional["FiniteSolution"]:
-        """Trim boundary zeros; None if every value is zero."""
-        vals = tuple(map(as_fraction, values))
-        lo, hi = 0, len(vals)
-        while lo < hi and not vals[lo]:
-            lo += 1
-        if lo == hi:
-            return None
-        while not vals[hi - 1]:
-            hi -= 1
-        return cls(anchor + lo, vals[lo:hi])
-
-    @classmethod
     def _trusted(cls, anchor: int, values: tuple[Fraction, ...]) -> "FiniteSolution":
         self = object.__new__(cls)
         _set(self, "anchor", anchor)

@@ -7,7 +7,8 @@ library's matrix constructor.  The two exceptions run on the library's
 kernel: symmetric_window_certify, an earlier certify search kept as a
 reference for the block sweep, and uncached_first_blocks, the block search
 with every window solved; per_entry_certificate reads a certificate's
-solutions with the library's parse_rational.
+solutions with the library's parse_rational.  trimmed_solution builds the
+FiniteSolution of a table with zeros at its ends, for tests that draw one.
 """
 
 import math
@@ -234,6 +235,15 @@ def uncached_first_blocks(op, d, edge, budget, widen=False):
         if solutions:
             widen = False
         width *= 2
+
+
+def trimmed_solution(anchor, values):
+    """The FiniteSolution of `values` at `anchor` with its end zeros cut; None if all are 0."""
+    values = tuple(map(Fraction, values))
+    nonzero = [i for i, v in enumerate(values) if v]
+    if not nonzero:
+        return None
+    return FiniteSolution(anchor + nonzero[0], values[nonzero[0] : nonzero[-1] + 1])
 
 
 def per_entry_certificate(data):

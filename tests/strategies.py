@@ -5,9 +5,12 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from lacunary import (
+    DimensionCertificate,
+    FiniteSolution,
     FiniteTable,
     GeometricSupport,
     OperatorSpec,
+    PartialLacunarySolution,
     Periodic,
     ResiduePolynomial,
     Window,
@@ -62,6 +65,48 @@ windows = st.builds(
     st.integers(min_value=-30, max_value=30),
     st.integers(min_value=-30, max_value=30),
 )
+
+_nonzero = small_fractions.filter(bool)
+
+# the values of a FiniteSolution: nonzero at both ends
+solution_tables = st.one_of(
+    st.tuples(_nonzero),
+    st.builds(
+        lambda a, mid, b: (a, *mid, b), _nonzero, st.lists(small_fractions, max_size=3), _nonzero
+    ),
+)
+
+
+@st.composite
+def dimension_certificates(draw):
+    """Solutions placed left to right, each past the last, in any order, in a window."""
+    at = draw(st.integers(min_value=-20, max_value=20))
+    solutions = []
+    for values in draw(st.lists(solution_tables, min_size=1, max_size=5)):
+        solutions.append(FiniteSolution(at, values))
+        at += len(values) + draw(st.integers(min_value=0, max_value=3))
+    lo = solutions[0].anchor - draw(st.integers(min_value=0, max_value=3))
+    hi = solutions[-1].max_support + draw(st.integers(min_value=0, max_value=3))
+    solutions = draw(st.permutations(solutions))
+    return DimensionCertificate(len(solutions), Window(lo, hi), tuple(solutions))
+
+
+@st.composite
+def partial_lacunary_solutions(draw):
+    """Blocks along either ray, gap i at least i + 2 as the construction keeps it."""
+    d = draw(st.sampled_from([1, -1]))
+    blocks, gaps = [], []
+    for values in draw(st.lists(solution_tables, min_size=1, max_size=4)):
+        if not blocks:
+            near = draw(st.integers(min_value=-20, max_value=20))
+        else:
+            gaps.append(draw(st.integers(min_value=len(gaps) + 2, max_value=len(gaps) + 6)))
+            near = far + d * gaps[-1]
+        anchor = near if d == 1 else near - len(values) + 1
+        blocks.append(FiniteSolution(anchor, values))
+        far = anchor + len(values) - 1 if d == 1 else anchor
+    return PartialLacunarySolution(tuple(blocks), tuple(gaps), "positive" if d == 1 else "negative")
+
 
 residue_operators = st.builds(
     random_residue_operator,

@@ -15,7 +15,7 @@ from lacunary.corpus import (
     geometric_lacunary_sequence,
     vanish_on_multiples_operator,
 )
-from lacunary.jsonio import dumps_canonical, operator_to_json, sequence_to_json
+from lacunary.jsonio import dumps_canonical, operator_to_json, to_json
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def fibonacci(tmp_path):
 @pytest.fixture
 def geometric_r2(tmp_path):
     path = tmp_path / "seq_geometric_r2.json"
-    path.write_text(dumps_canonical(sequence_to_json(geometric_lacunary_sequence(2))))
+    path.write_text(dumps_canonical(to_json(geometric_lacunary_sequence(2))))
     return str(path)
 
 
@@ -505,7 +505,7 @@ def test_unknown_spec_or_operator_key_exit_1(command, role, name, data, key):
 
 VALID = {
     "operator": operator_to_json(vanish_on_multiples_operator(2)),
-    "sequence": sequence_to_json(geometric_lacunary_sequence(2)),
+    "sequence": to_json(geometric_lacunary_sequence(2)),
     "certificate": {
         "kind": "dimension_certificate",
         "k": 1,

@@ -44,6 +44,7 @@ from .oracles import (
     every_equation_check,
     naive_verify_certificate,
     symmetric_window_certify,
+    trimmed_solution,
     uncached_first_blocks,
 )
 from .strategies import (
@@ -633,6 +634,24 @@ def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
     assert 0 < len(equations) <= bound
 
 
+def test_partial_check_walks_only_nonzero_entries(monkeypatch):
+    # a block with a run of 18 zeros inside: the sum is checked, like each
+    # block, only within r left of its 3 nonzero entries
+    equations = []
+    original = operators_mod.residual
+
+    def counting(op, x, n):
+        equations.append(n)
+        return original(op, x, n)
+
+    monkeypatch.setattr(operators_mod, "residual", counting)
+    op = vanish_on_multiples_operator(2)
+    one = Fraction(1)
+    blocks = (FiniteSolution(1, (one,) + (Fraction(0),) * 18 + (one,)), FiniteSolution(100, (one,)))
+    assert verify_partial_lacunary(op, PartialLacunarySolution(blocks, (80,), "positive"))
+    assert len(equations) == 2 * 3 * (op.order + 1)
+
+
 def test_translation_classes_match_the_every_equation_oracle():
     outcomes = set()
 
@@ -696,7 +715,7 @@ def test_certificates_match_the_naive_verify_oracle():
             planted = FiniteSolution(s.anchor, tuple(values))
         else:
             body = data.draw(st.lists(small_fractions, min_size=1, max_size=4))
-            planted = FiniteSolution.from_values(0, body) or FiniteSolution(0, (Fraction(1),))
+            planted = trimmed_solution(0, body) or FiniteSolution(0, (Fraction(1),))
         tables = data.draw(st.lists(st.sampled_from(kernel), max_size=5)) if kernel else []
         at = data.draw(st.integers(min_value=0, max_value=len(tables)))
         tables.insert(at, planted)

@@ -1,10 +1,11 @@
-"""Every exported name resolves, in each module and in the package, and
-every imported name is used or exported."""
+"""Every exported name resolves, in each module and in the package, and so
+does every name the bench imports; every imported name is used or exported."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,3 +133,25 @@ def test_cli_import_skips_dataclasses_and_corpus():
     assert json.loads(python("-c", STARTUP_PROBE)) == []
     entry = json.loads(python("-m", "lacunary.cli", "corpus", "vanish_on_multiples_r2"))
     assert entry["name"] == "vanish_on_multiples_r2"
+
+
+# `from lacunary... import ...` anywhere in the text, so also in the source
+# strings the bench runs in a subprocess, which no syntax tree shows as imports
+BENCH_IMPORT = re.compile(r"from\s+(lacunary(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]+)")
+
+
+def test_every_name_the_bench_imports_resolves():
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    found = set()
+    for path in sorted(bench.glob("*.py")):
+        for module, names in BENCH_IMPORT.findall(path.read_text(encoding="utf-8")):
+            for name in names.strip("()").split(","):
+                if name.strip():
+                    found.add((module, name.split(" as ")[0].strip()))
+    assert ("lacunary.jsonio", "operator_to_json") in found
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(found)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing

@@ -32,22 +32,22 @@ from lacunary.corpus import (
 from lacunary.jsonio import (
     certificate_from_json,
     dumps_canonical,
-    finite_solution_to_json,
     format_rational,
     kernel_basis_to_json,
-    dimension_certificate_to_json,
-    inconclusive_to_json,
     operator_from_json,
     operator_to_json,
     parse_rational,
-    partial_lacunary_to_json,
     sequence_from_json,
-    sequence_to_json,
     split_result_to_json,
+    to_json,
 )
 
 from .oracles import per_entry_certificate
-from .strategies import sequence_specs
+from .strategies import (
+    dimension_certificates,
+    partial_lacunary_solutions,
+    sequence_specs,
+)
 
 
 def test_format_rational_canonical():
@@ -118,6 +118,20 @@ def test_residue_poly_modulus_is_checked_before_its_keys(modulus):
         sequence_from_json(data)
 
 
+def test_residue_poly_modulus_is_read_before_per_class():
+    # fields are read in their order, so a bad modulus is reported before a bad per_class
+    data = {"kind": "residue_poly", "modulus": 1.5, "per_class": 7}
+    with pytest.raises(ValueError) as caught:
+        sequence_from_json(data)
+    assert str(caught.value) == "modulus must be an integer, got 1.5"
+
+
+def test_every_field_of_every_tagged_kind_has_a_reader():
+    assert len(set(jsonio._KINDS.values())) == len(jsonio._KINDS)
+    for cls in jsonio._KINDS:
+        assert set(cls._fields) <= jsonio._FIELDS.keys(), cls.__name__
+
+
 def test_sequence_round_trips_by_hand():
     specs = [
         FiniteTable(-3, (Fraction(1), Fraction(0), Fraction(-2, 3))),
@@ -128,10 +142,10 @@ def test_sequence_round_trips_by_hand():
         GeometricSupport(12, 0, Fraction(2, 5), allow_negative_m=True),
     ]
     for spec in specs:
-        data = sequence_to_json(spec)
+        data = to_json(spec)
         assert sequence_from_json(data) == spec
         # canonical text is stable across a decode/encode cycle
-        assert dumps_canonical(sequence_to_json(sequence_from_json(data))) == (
+        assert dumps_canonical(to_json(sequence_from_json(data))) == (
             dumps_canonical(data)
         )
 
@@ -164,7 +178,7 @@ def test_sequence_json_rejects_non_bool_flag():
 @settings(max_examples=60, deadline=None)
 @given(sequence_specs)
 def test_sequence_round_trip_property(spec):
-    assert sequence_from_json(sequence_to_json(spec)) == spec
+    assert sequence_from_json(to_json(spec)) == spec
 
 
 def test_operator_round_trip_and_order_check():
@@ -186,7 +200,7 @@ def test_operator_round_trip_and_order_check():
 
 def test_finite_solution_round_trip():
     x = FiniteSolution(-4, (Fraction(1), Fraction(0), Fraction(-3, 7)))
-    assert jsonio._finite_solutions([finite_solution_to_json(x)], "solutions") == (x,)
+    assert jsonio._finite_solutions([to_json(x)], "solutions") == (x,)
     with pytest.raises(ValueError):
         jsonio._finite_solutions([{"anchor": 0, "values": ["0/1"]}], "solutions")
 
@@ -224,7 +238,7 @@ def test_kernel_basis_from_json_rejections():
 def test_certificate_round_trip():
     cert = certify_dimension(vanish_on_multiples_operator(2), 5, 100)
     assert isinstance(cert, DimensionCertificate)
-    data = dimension_certificate_to_json(cert)
+    data = to_json(cert)
     assert data["kind"] == "dimension_certificate"
     assert certificate_from_json(data) == ("dimension_certificate", cert)
 
@@ -232,15 +246,23 @@ def test_certificate_round_trip():
 def test_partial_lacunary_round_trip():
     out = build_lacunary(vanish_on_multiples_operator(2), 10, 200)
     assert isinstance(out, PartialLacunarySolution)
-    data = partial_lacunary_to_json(out)
+    data = to_json(out)
     assert data["kind"] == "partial_lacunary"
     assert certificate_from_json(data) == ("partial_lacunary", out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dimension_certificates(), partial_lacunary_solutions()))
+def test_certificate_round_trip_property(cert):
+    data = to_json(cert)
+    assert certificate_from_json(data) == (data["kind"], cert)
+    assert certificate_from_json(json.loads(dumps_canonical(data))) == (data["kind"], cert)
 
 
 def test_inconclusive_to_json_fields():
     out = certify_dimension(fibonacci_operator(), 1, 50)
     assert isinstance(out, Inconclusive)
-    data = inconclusive_to_json(out)
+    data = to_json(out)
     assert data["kind"] == "inconclusive"
     assert data["best_kernel_dim"] == 0
     assert "best_gap" not in data
@@ -273,7 +295,7 @@ def test_split_result_reads_as_a_dimension_certificate():
     assert data["kind"] == "split_result"
     assert certificate_from_json(data) == ("split_result", DimensionCertificate(8, w, pieces))
     assert certificate_from_json(split_result_to_json(w, [])) == ("split_result", None)
-    piece = finite_solution_to_json(pieces[0])
+    piece = to_json(pieces[0])
     for bad in (
         {"window": "garbage", "pieces": [piece]},
         {"window": [0, 1], "pieces": [piece]},  # the piece lies at 4..7
@@ -437,6 +459,15 @@ def test_dense_vectors_are_trimmed_on_their_strings():
     assert read(["2/1", "0/7", "-0/5", "1/2"]) == (FiniteSolution(lo, (two, 0, 0, half)),)
     # entries that are no strings are read each on its own, and trimmed alike
     assert read([0, "1/2", 0, 2]) == (FiniteSolution(lo + 1, (half, 0, two)),)
+    # trimmed at either end, at both or at neither, at any anchor
+    for at, vec, expected in (
+        (0, [0, 2, 0], FiniteSolution(1, (two,))),
+        (-3, [1, 0, 2], FiniteSolution(-3, (1, 0, 2))),
+        (-3, [0, 0, 1, 0, 2, 0], FiniteSolution(-1, (1, 0, 2))),
+    ):
+        for spell in (str, int):
+            data = {"window": [at, at + len(vec) - 1], "vectors": [list(map(spell, vec))]}
+            assert certificate_from_json(data)[1].solutions == (expected,)
     # a bad entry, then a wrong length, then a zero vector
     for vectors, message in (
         ([["0/1", "x"]], "expected a rational string 'p/q', got 'x'"),

@@ -35,7 +35,12 @@ from lacunary.corpus import (
     zero_operator,
 )
 
-from .oracles import densify, every_equation_check, pairwise_residue_conflicts
+from .oracles import (
+    densify,
+    every_equation_check,
+    pairwise_residue_conflicts,
+    trimmed_solution,
+)
 from .strategies import (
     periodic_operators,
     residue_operators,
@@ -198,15 +203,6 @@ def test_finite_solution_keeps_the_record_contract():
             FiniteSolution(*args, **kwargs)
 
 
-def test_finite_solution_from_values_trims():
-    x = FiniteSolution.from_values(0, (Fraction(0), Fraction(2), Fraction(0)))
-    assert x == FiniteSolution(1, (Fraction(2),))
-    assert FiniteSolution.from_values(5, (Fraction(0), Fraction(0))) is None
-    assert FiniteSolution.from_values(5, ()) is None
-    assert FiniteSolution.from_values(-3, (1, 0, 2)) == FiniteSolution(-3, (1, 0, 2))
-    assert FiniteSolution.from_values(-3, (0, 0, 1, 0, 2, 0)) == FiniteSolution(-1, (1, 0, 2))
-
-
 def test_operator_period():
     def period(*coeffs):
         return OperatorSpec(coeffs).period
@@ -285,7 +281,7 @@ def test_window_matrix_band_structure(op, lo, length):
 def test_is_global_matches_support_confined_nullspace(op, data):
     anchor = data.draw(st.integers(min_value=-6, max_value=6))
     body = data.draw(st.lists(small_fractions, min_size=1, max_size=5))
-    x = FiniteSolution.from_values(anchor, body)
+    x = trimmed_solution(anchor, body)
     if x is None:
         return
     w = Window(x.min_support, x.max_support)
@@ -497,6 +493,6 @@ def test_certified_masks_kill_masked_solutions(data):
     anchor = data.draw(st.integers(min_value=-10, max_value=10))
     body = data.draw(st.lists(small_fractions, min_size=1, max_size=6))
     masked = [v if sol_mask.admits(anchor + i) else Fraction(0) for i, v in enumerate(body)]
-    x = FiniteSolution.from_values(anchor, masked)
+    x = trimmed_solution(anchor, masked)
     if x is not None:
         assert is_global_solution_finite(op, x)
