@@ -12,10 +12,9 @@ reports.
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
+from types import SimpleNamespace
 from typing import Any, Optional, Sequence
 
 from .engine import (
@@ -52,15 +51,6 @@ EXIT_INCONCLUSIVE = 2
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)  # -50:50 is a window, not an option
-        self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
-
-    def error(self, message: str) -> None:  # noqa: A003 - argparse hook
-        raise UsageError(message)
 
 
 def _parse_window(text: str) -> Window:
@@ -202,60 +192,94 @@ def _cmd_corpus(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, to_json(entry), text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lacunary",
-        description=(
-            "Exact witnesses for infinite-dimensional solution spaces of "
-            "linear difference equations with sequence coefficients."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = ("Exact witnesses for infinite-dimensional solution spaces of linear "
+                "difference equations with sequence coefficients.")
+_HELP, _FORMATS = ("-h", "--help"), ("json", "text")
+_REQUIRED = object()  # the default of an argument that must be given
+_FILE, _WINDOW, _BUDGET = ("FILE", _REQUIRED), ("LO:HI", _REQUIRED), ("INT", 1000)
+_OUTPUT = {"--format": ("{json,text}", "json"), "--out": ("FILE", None)}
 
-    def add(name: str, help_text: str, *, operator=True, sequence=False, window=False):
-        p = sub.add_parser(name, help=help_text)
-        if operator:
-            p.add_argument("--operator", required=True, metavar="FILE")
-        if sequence:
-            p.add_argument("--sequence", required=True, metavar="FILE")
-        if window:
-            p.add_argument("--window", required=True, metavar="LO:HI")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", metavar="FILE")
-        return p
-
-    add("check", "verify a sequence solves the equation on a window", sequence=True, window=True)
-    add("kernel", "basis of global solutions supported inside a window", window=True)
-    p = add("certify", "prove a lower bound on the solution space dimension")
-    p.add_argument("--k", required=True, type=int, metavar="INT")
-    p.add_argument("--budget", type=int, default=1000, metavar="INT")
-    add("split", "cut a windowed solution at long zero runs", sequence=True, window=True)
-    p = add("build", "assemble a solution with ever-growing support gaps")
-    p.add_argument("--gap", required=True, type=int, metavar="INT")
-    p.add_argument("--budget", type=int, default=1000, metavar="INT")
-    p = add("verify", "re-check a serialized certificate against an operator")
-    p.add_argument("--certificate", required=True, metavar="FILE")
-    p = add("corpus", "emit a corpus entry, or the manifest without a name", operator=False)
-    p.add_argument("name", nargs="?", default=None)
-    return parser
-
-
+# Each command's handler, help line and arguments, besides the _OUTPUT options
+# every command takes.  An argument is an option "--name" or a positional
+# "name", mapped to its metavar and its default; an INT value is read as an int.
 _COMMANDS = {
-    "check": _cmd_check,
-    "kernel": _cmd_kernel,
-    "certify": _cmd_certify,
-    "split": _cmd_split,
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "corpus": _cmd_corpus,
+    "check": (_cmd_check, "verify a sequence solves the equation on a window",
+              {"--operator": _FILE, "--sequence": _FILE, "--window": _WINDOW}),
+    "kernel": (_cmd_kernel, "basis of global solutions supported inside a window",
+               {"--operator": _FILE, "--window": _WINDOW}),
+    "certify": (_cmd_certify, "prove a lower bound on the solution space dimension",
+                {"--operator": _FILE, "--k": ("INT", _REQUIRED), "--budget": _BUDGET}),
+    "split": (_cmd_split, "cut a windowed solution at long zero runs",
+              {"--operator": _FILE, "--sequence": _FILE, "--window": _WINDOW}),
+    "build": (_cmd_build, "assemble a solution with ever-growing support gaps",
+              {"--operator": _FILE, "--gap": ("INT", _REQUIRED), "--budget": _BUDGET}),
+    "verify": (_cmd_verify, "re-check a serialized certificate against an operator",
+               {"--operator": _FILE, "--certificate": _FILE}),
+    "corpus": (_cmd_corpus, "emit a corpus entry, or the manifest without a name",
+               {"name": ("NAME", None)}),
 }
 
 
+def _usage(command: Optional[str]) -> str:
+    """The help of one command, or of the program when command is None."""
+    if command is None:
+        lines = [f"usage: lacunary {{{','.join(_COMMANDS)}}} ...", "", _DESCRIPTION, ""]
+        return "\n".join(lines + [f"  {n:<8} {h}" for n, (_, h, _) in _COMMANDS.items()]) + "\n"
+    _, line, options = _COMMANDS[command]
+    labels = []
+    for name, (metavar, default) in {**options, **_OUTPUT}.items():
+        label = f"{name} {metavar}" if name.startswith("-") else metavar
+        labels.append(label if default is _REQUIRED else f"[{label}]")
+    return f"usage: lacunary {command} {' '.join(labels)}\n\n{line}\n"
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command and its arguments as attributes; None once -h printed its help.
+
+    An option is --name VALUE or --name=VALUE: any order, full names, at most
+    once.  VALUE is always the next token, so --window -50:50 reaches its check.
+    """
+    command = argv[0] if argv else None
+    if command in _HELP:
+        sys.stdout.write(_usage(None))
+        return None
+    if command not in _COMMANDS:
+        what = f"unknown command {command!r}" if argv else "no command"
+        raise UsageError(f"{what}; the commands are {', '.join(_COMMANDS)}")
+    tokens, options = iter(argv[1:]), {**_COMMANDS[command][2], **_OUTPUT}
+    positional = next((name for name in options if not name.startswith("-")), None)
+    given: dict[str, Any] = {}
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_usage(command))
+            return None
+        name, eq, value = token.partition("=") if token[:1] == "-" else (positional, "=", token)
+        if name not in options:
+            raise UsageError(f"{command} takes no argument {token!r}")
+        if name in given:
+            raise UsageError(f"{name} given more than once")
+        given[name] = value if eq else next(tokens, _REQUIRED)  # no next token: no value
+    args = SimpleNamespace(command=command)
+    for name, (metavar, default) in options.items():
+        value = given.get(name, default)
+        if value is _REQUIRED:
+            raise UsageError(f"{command} needs a value for {name}")
+        try:
+            value = int(value) if metavar == "INT" else value
+        except ValueError:
+            raise UsageError(f"{name} must be an integer, got {value!r}") from None
+        if name == "--format" and value not in _FORMATS:
+            raise UsageError(f"--format must be one of {', '.join(_FORMATS)}, got {value!r}")
+        setattr(args, name.lstrip("-"), value)
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code, payload, text_lines = _COMMANDS[args.command](args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
+        code, payload, text_lines = _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR

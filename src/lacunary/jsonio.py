@@ -135,8 +135,9 @@ _KINDS = {
 def to_json(value: Any) -> Any:
     """The JSON form of a value: a Record is an object of its fields.
 
-    A tagged kind adds its "kind", a field that is None is left out, and an
-    operator also carries its order.  Rationals become "p/q", windows
+    A tagged kind adds its "kind", a field that is None is left out, an
+    operator also carries its order, and a kernel basis takes the dense form
+    that certificate_from_json reads.  Rationals become "p/q", windows
     [lo, hi], tuples lists, and dict keys strings.
     """
     if isinstance(value, Fraction):
@@ -149,6 +150,8 @@ def to_json(value: Any) -> Any:
         return [value.lo, value.hi]
     if isinstance(value, OperatorSpec):
         return operator_to_json(value)
+    if isinstance(value, KernelBasis):
+        return kernel_basis_to_json(value)
     if not isinstance(value, Record):
         return value
     out = {"kind": _KINDS[type(value)]} if type(value) in _KINDS else {}

@@ -9,9 +9,13 @@ reference for the block sweep, and uncached_first_blocks, the block search
 with every window solved; per_entry_certificate reads a certificate's
 solutions with the library's parse_rational.  trimmed_solution builds the
 FiniteSolution of a table with zeros at its ends, for tests that draw one.
+build_parser is the argparse parser the command line used to have, kept as
+the reference for the parse of its option table.
 """
 
+import argparse
 import math
+import re
 from fractions import Fraction
 
 from lacunary import (
@@ -21,6 +25,7 @@ from lacunary import (
     Window,
     finite_support_kernel,
 )
+from lacunary.cli import UsageError
 from lacunary.jsonio import parse_rational
 
 
@@ -270,3 +275,50 @@ def per_entry_certificate(data):
             raise ValueError(f"values must be a list, got {values!r}")
         solutions.append(FiniteSolution(anchor, tuple(parse_rational(v) for v in values)))
     return DimensionCertificate(data["k"], Window(*data["window"]), solutions)
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # -50:50 is a window, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
+
+    def error(self, message: str) -> None:  # noqa: A003 - argparse hook
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="lacunary",
+        description=(
+            "Exact witnesses for infinite-dimensional solution spaces of "
+            "linear difference equations with sequence coefficients."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help_text: str, *, operator=True, sequence=False, window=False):
+        p = sub.add_parser(name, help=help_text)
+        if operator:
+            p.add_argument("--operator", required=True, metavar="FILE")
+        if sequence:
+            p.add_argument("--sequence", required=True, metavar="FILE")
+        if window:
+            p.add_argument("--window", required=True, metavar="LO:HI")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--out", metavar="FILE")
+        return p
+
+    add("check", "verify a sequence solves the equation on a window", sequence=True, window=True)
+    add("kernel", "basis of global solutions supported inside a window", window=True)
+    p = add("certify", "prove a lower bound on the solution space dimension")
+    p.add_argument("--k", required=True, type=int, metavar="INT")
+    p.add_argument("--budget", type=int, default=1000, metavar="INT")
+    add("split", "cut a windowed solution at long zero runs", sequence=True, window=True)
+    p = add("build", "assemble a solution with ever-growing support gaps")
+    p.add_argument("--gap", required=True, type=int, metavar="INT")
+    p.add_argument("--budget", type=int, default=1000, metavar="INT")
+    p = add("verify", "re-check a serialized certificate against an operator")
+    p.add_argument("--certificate", required=True, metavar="FILE")
+    p = add("corpus", "emit a corpus entry, or the manifest without a name", operator=False)
+    p.add_argument("name", nargs="?", default=None)
+    return parser

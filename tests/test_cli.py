@@ -4,18 +4,23 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lacunary.cli import main
+from lacunary.cli import UsageError, _COMMANDS, _parse_args, main
 from lacunary.corpus import (
     fibonacci_operator,
     geometric_lacunary_sequence,
     vanish_on_multiples_operator,
 )
 from lacunary.jsonio import dumps_canonical, operator_to_json, to_json
+
+from .oracles import build_parser
 
 
 @pytest.fixture
@@ -337,6 +342,121 @@ def test_usage_errors_exit_1(capsys, vanish_r2, geometric_r2):
         captured = capsys.readouterr()
         assert code == 1, argv
         assert "usage error:" in captured.err, argv
+
+
+# The options of each command besides --format and --out, as the reference
+# parser in tests/oracles.py builds them; the starred ones are optional.
+COMMAND_OPTIONS = {
+    "check": ("--operator", "--sequence", "--window"),
+    "kernel": ("--operator", "--window"),
+    "certify": ("--operator", "--k", "--budget*"),
+    "split": ("--operator", "--sequence", "--window"),
+    "build": ("--operator", "--gap", "--budget*"),
+    "verify": ("--operator", "--certificate"),
+    "corpus": (),
+}
+# no "-": a value that starts with one is an option to the reference parser
+WORDS = st.text(alphabet="abz_./:=019 ", min_size=1, max_size=8)
+INTS = st.integers(min_value=-10**6, max_value=10**6).map(str)
+OPTION_VALUES = {
+    "--window": st.tuples(INTS, INTS).map(":".join),
+    "--k": INTS,
+    "--gap": INTS,
+    "--budget": INTS,
+    "--format": st.sampled_from(["json", "text"]),
+}
+REFERENCE_PARSER = build_parser()
+
+
+@st.composite
+def valid_argv(draw):
+    """A valid command line: options in any order, spaced or joined by '='."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    groups = []
+    for option in COMMAND_OPTIONS[command] + ("--format*", "--out*"):
+        name = option.rstrip("*")
+        if name != option and not draw(st.booleans()):
+            continue
+        value = draw(OPTION_VALUES.get(name, WORDS))
+        groups.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    if command == "corpus" and draw(st.booleans()):
+        groups.append([draw(WORDS)])
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_argv())
+@example(["kernel", "--window", "-50:50", "--operator", "op.json"])
+@example(["build", "--budget", "-1", "--gap=-3", "--operator", "op.json"])
+@example(["corpus", "--format", "text", "fibonacci", "--out", "o.txt"])
+@example(["corpus"])
+def test_parse_matches_the_reference_parser(argv):
+    assert vars(_parse_args(argv)) == vars(REFERENCE_PARSER.parse_args(argv))
+
+
+BAD_ARGV = {
+    "no command": [],
+    "unknown command": ["frobnicate", "--operator", "op.json"],
+    "option before the command": ["--operator", "op.json", "kernel", "--window", "0:4"],
+    "unknown option": ["kernel", "--operator", "op.json", "--window", "0:4", "--bogus", "1"],
+    "short option": ["certify", "--operator", "op.json", "-k", "3"],
+    "short option for corpus": ["corpus", "-x"],
+    "missing value": ["kernel", "--window", "0:4", "--operator"],
+    "missing value of an optional": ["kernel", "--window", "0:4", "--operator", "op.json", "--out"],
+    "missing required option": ["kernel", "--operator", "op.json"],
+    "missing command option": ["certify", "--operator", "op.json", "--budget", "5"],
+    "bad int": ["certify", "--operator", "op.json", "--k", "two"],
+    "bad int after '='": ["build", "--operator", "op.json", "--gap=1.5"],
+    "bad format": ["kernel", "--operator", "op.json", "--window", "0:4", "--format", "yaml"],
+    "stray positional": ["kernel", "extra", "--operator", "op.json", "--window", "0:4"],
+    "two corpus names": ["corpus", "fibonacci", "zero_operator"],
+    # the two narrowings: the argparse parser took an abbreviation, and the
+    # last of a repeated option
+    "abbreviated option": ["kernel", "--oper", "op.json", "--window", "0:4"],
+    "repeated option": ["kernel", "--operator", "a.json", "--window", "0:4", "--operator=b.json"],
+    "repeated int option": ["certify", "--operator", "op.json", "--k", "3", "--k", "4"],
+    "repeated corpus format": ["corpus", "--format", "json", "--format", "text"],
+}
+NARROWED = {"abbreviated option", "repeated option", "repeated int option", "repeated corpus format"}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
+def test_bad_command_lines_exit_1_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_the_narrowings_were_accepted_by_the_reference_parser():
+    for case in NARROWED:
+        REFERENCE_PARSER.parse_args(BAD_ARGV[case])
+    for case in BAD_ARGV.keys() - NARROWED:
+        with pytest.raises(UsageError):
+            REFERENCE_PARSER.parse_args(BAD_ARGV[case])
+
+
+def test_help_lists_every_command_and_option():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+    def lacunary(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lacunary.cli", *argv], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    # the help is built from the option table, which holds these
+    assert list(_COMMANDS) == list(COMMAND_OPTIONS)
+    assert list(_COMMANDS["kernel"][2]) == list(COMMAND_OPTIONS["kernel"])
+    program = lacunary("-h")
+    assert [c for c in COMMAND_OPTIONS if f"\n  {c} " not in program] == []
+    kernel = lacunary("kernel", "--help")
+    assert kernel.startswith("usage: lacunary kernel ")
+    assert [o for o in ("--operator", "--window", "--format", "--out") if o not in kernel] == []
 
 
 def test_missing_and_malformed_files(capsys, tmp_path, vanish_r2):

@@ -22,7 +22,7 @@ from lacunary import (
     split_lacunary,
     verify_dimension_certificate,
 )
-from lacunary import jsonio
+from lacunary import corpus, jsonio
 from lacunary.cli import main
 from lacunary.corpus import (
     fibonacci_operator,
@@ -213,6 +213,14 @@ def test_kernel_basis_round_trip():
     # the dense rows are the solutions padded with zeros across the window
     assert all(len(vec) == 13 for vec in data["vectors"])
     assert data["vectors"][0] == ["0/1", "1/1"] + ["0/1"] * 11
+
+
+@pytest.mark.parametrize("entry", corpus.entries(), ids=lambda e: e.name)
+def test_to_json_writes_a_kernel_basis_that_reads_back(entry):
+    for window in (Window(0, 5), Window(-9, 30)):
+        kb = finite_support_kernel(entry.operator, window)
+        assert to_json(kb) == kernel_basis_to_json(kb)
+        assert certificate_from_json(to_json(kb)) == ("kernel_basis", kb)
 
 
 def test_kernel_basis_from_json_rejections():
