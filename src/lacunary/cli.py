@@ -4,16 +4,18 @@ Exit codes follow the semi-algorithm semantics: 0 is a definitive success,
 2 means the budget ran out without a witness (Inconclusive), and 1 is an
 error, including a certificate that fails verification.  JSON output is
 canonical (sorted keys, fixed indentation, rationals as "p/q"), so two
-runs over identical inputs produce byte-identical files.  Every wire
-format lives in jsonio, certificate kinds included, and every certificate
-check in engine; this module only dispatches on the engine types and
-reports.
+runs over identical inputs produce byte-identical files.  Output streams
+into the --out file or stdout, and a failed write is an error like any
+other.  Every wire format lives in jsonio, certificate kinds included, and
+every certificate check in engine; this module only dispatches on the
+engine types and reports.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext, suppress
 from types import SimpleNamespace
 from typing import Any, Optional, Sequence
 
@@ -31,7 +33,7 @@ from .engine import (
 )
 from .jsonio import (
     certificate_from_json,
-    dumps_canonical,
+    dump_canonical,
     kernel_basis_to_json,
     manifest_to_json,
     operator_from_json,
@@ -274,12 +276,31 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return args
 
 
+def _close_broken_stdout() -> None:
+    """Close stdout if what it holds cannot be written: Python flushes an open
+    stdout again at exit, and a failure there prints a traceback and exits 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with suppress(OSError):  # closing flushes once more, then closes anyway
+            sys.stdout.close()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            return EXIT_OK
-        code, payload, text_lines = _COMMANDS[args.command][0](args)
+        code = EXIT_OK
+        if args is not None:
+            code, payload, text_lines = _COMMANDS[args.command][0](args)
+            # opened only now, so a failed command leaves no file behind
+            out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+            with out as fh:
+                if args.format == "json":
+                    dump_canonical(payload, fh)
+                else:
+                    fh.write("\n".join(text_lines) + "\n")
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -288,18 +309,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _close_broken_stdout()
         return EXIT_ERROR
-
-    if args.format == "json":
-        rendered = dumps_canonical(payload)
-    else:
-        rendered = "\n".join(text_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
-    return code
 
 
 if __name__ == "__main__":

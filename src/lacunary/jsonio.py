@@ -16,8 +16,9 @@ table and a lookup per solution, and the first bad solution is still the
 one reported.  A dense kernel vector parses, and tests for zero, each
 distinct string it holds once.  Both memos last for one read.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
-zero), and dumps_canonical fixes key order and indentation so identical
-inputs give byte-identical output files.
+zero), and dump_canonical fixes key order and indentation so identical
+inputs give byte-identical output files.  It writes chunk by chunk into the
+open file, so writing holds no copy of the output text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
 
 from .engine import (
     DimensionCertificate,
@@ -49,7 +51,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "certificate_from_json",
-    "dumps_canonical",
+    "dump_canonical",
     "format_rational",
     "kernel_basis_to_json",
     "manifest_to_json",
@@ -376,5 +378,14 @@ def certificate_from_json(data: Any) -> tuple[str, Any]:
     raise ValueError("unrecognized certificate JSON shape")
 
 
-def dumps_canonical(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def dump_canonical(data: Any, fh: TextIO) -> None:
+    """Write data's canonical text to fh, json.dump's chunks joined 256 at a time.
+
+    One write per chunk, as json.dump makes, is one system call per chunk
+    on an unbuffered stdout (PYTHONUNBUFFERED), and one string of the whole
+    text holds a copy of it.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    while batch := "".join(islice(chunks, 256)):
+        fh.write(batch)
+    fh.write("\n")

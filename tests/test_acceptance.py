@@ -33,7 +33,7 @@ from lacunary.corpus import (
 )
 from lacunary.jsonio import (
     certificate_from_json,
-    dumps_canonical,
+    dump_canonical,
     operator_to_json,
     to_json,
 )
@@ -150,7 +150,8 @@ def test_acceptance_5_fibonacci_negative_control(tmp_path, capsys):
     outcome = certify_dimension(op, 1, 200)
     ok = ok and isinstance(outcome, Inconclusive)
     op_file = tmp_path / "fibonacci.json"
-    op_file.write_text(dumps_canonical(operator_to_json(op)))
+    with open(op_file, "w", encoding="utf-8") as fh:
+        dump_canonical(operator_to_json(op), fh)
     exit_code = cli_main(
         ["certify", "--operator", str(op_file), "--k", "1", "--budget", "200"]
     )

@@ -1,12 +1,14 @@
 """End-to-end command line runs, in process, over temp files."""
 
 import contextlib
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,29 +20,34 @@ from lacunary.corpus import (
     geometric_lacunary_sequence,
     vanish_on_multiples_operator,
 )
-from lacunary.jsonio import dumps_canonical, operator_to_json, to_json
+from lacunary.jsonio import dump_canonical, operator_to_json, to_json
 
 from .oracles import build_parser
+
+
+def write_canonical(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_canonical(data, fh)
 
 
 @pytest.fixture
 def vanish_r2(tmp_path):
     path = tmp_path / "op_vanish_r2.json"
-    path.write_text(dumps_canonical(operator_to_json(vanish_on_multiples_operator(2))))
+    write_canonical(path, operator_to_json(vanish_on_multiples_operator(2)))
     return str(path)
 
 
 @pytest.fixture
 def fibonacci(tmp_path):
     path = tmp_path / "op_fibonacci.json"
-    path.write_text(dumps_canonical(operator_to_json(fibonacci_operator())))
+    write_canonical(path, operator_to_json(fibonacci_operator()))
     return str(path)
 
 
 @pytest.fixture
 def geometric_r2(tmp_path):
     path = tmp_path / "seq_geometric_r2.json"
-    path.write_text(dumps_canonical(to_json(geometric_lacunary_sequence(2))))
+    write_canonical(path, to_json(geometric_lacunary_sequence(2)))
     return str(path)
 
 
@@ -48,6 +55,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """`python -m lacunary.cli ARGV` in a fresh interpreter on this checkout's
+    source, its stdout block-buffered as it is unless PYTHONUNBUFFERED is set."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "lacunary.cli", *argv], cwd=ROOT, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
 
 
 def test_check_ok(capsys, vanish_r2, geometric_r2):
@@ -63,7 +85,7 @@ def test_check_ok(capsys, vanish_r2, geometric_r2):
 
 def test_window_left_of_zero_needs_no_equals_sign(capsys, tmp_path):
     op = tmp_path / "op_vanish_r1.json"
-    op.write_text(dumps_canonical(operator_to_json(vanish_on_multiples_operator(1))))
+    write_canonical(op, operator_to_json(vanish_on_multiples_operator(1)))
     spaced = run(capsys, "kernel", "--operator", str(op), "--window", "-50:50")
     joined = run(capsys, "kernel", "--operator", str(op), "--window=-50:50")
     assert spaced[0] == 0
@@ -72,10 +94,10 @@ def test_window_left_of_zero_needs_no_equals_sign(capsys, tmp_path):
 
 def test_check_failure_exit_code(capsys, fibonacci, tmp_path):
     bad = tmp_path / "seq_bad.json"
-    bad.write_text(dumps_canonical({
+    write_canonical(bad, {
         "kind": "finite_table", "anchor": 0,
         "values": ["1/1", "1/1", "2/1", "3/1", "6/1"],
-    }))
+    })
     code, out, err = run(
         capsys, "check", "--operator", fibonacci, "--sequence", str(bad),
         "--window", "0:4",
@@ -267,7 +289,7 @@ def test_verify_tampered_certificate(capsys, vanish_r2, tmp_path):
     # where it is no solution (counting oracle: multiples of r+1 are not free)
     lo, hi = data["window"]
     data["solutions"][0]["anchor"] = next(n for n in range(lo, hi + 1) if n % 3 == 0)
-    cert_file.write_text(dumps_canonical(data))
+    write_canonical(cert_file, data)
     code, out, err = run(
         capsys, "verify", "--operator", vanish_r2, "--certificate", str(cert_file),
     )
@@ -307,9 +329,9 @@ def test_corpus_manifest_and_entry(capsys, tmp_path):
     entry = json.loads(out)
     # the emitted operator JSON is directly reusable as an --operator file
     op_file = tmp_path / "op_from_corpus.json"
-    op_file.write_text(dumps_canonical(entry["operator"]))
+    write_canonical(op_file, entry["operator"])
     seq_file = tmp_path / "seq_from_corpus.json"
-    seq_file.write_text(dumps_canonical(entry["sequence"]))
+    write_canonical(seq_file, entry["sequence"])
     code, out, err = run(
         capsys, "check", "--operator", str(op_file), "--sequence", str(seq_file),
         "--window", "0:50",
@@ -437,15 +459,8 @@ def test_the_narrowings_were_accepted_by_the_reference_parser():
 
 
 def test_help_lists_every_command_and_option():
-    root = Path(__file__).resolve().parent.parent
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-
     def lacunary(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lacunary.cli", *argv], cwd=root, env=env,
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_process(*argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         return proc.stdout
 
@@ -457,6 +472,41 @@ def test_help_lists_every_command_and_option():
     kernel = lacunary("kernel", "--help")
     assert kernel.startswith("usage: lacunary kernel ")
     assert [o for o in ("--operator", "--window", "--format", "--out") if o not in kernel] == []
+
+
+UNOPENABLE = {"a directory": ("", errno.EISDIR), "a missing directory": ("no/x.json", errno.ENOENT)}
+
+
+@pytest.mark.parametrize("out, code", UNOPENABLE.values(), ids=UNOPENABLE.keys())
+def test_unopenable_out_exits_1_one_line(capsys, fibonacci, tmp_path, out, code):
+    path = str(tmp_path / out)
+    result = run(capsys, "kernel", "--operator", fibonacci, "--window", "0:4", "--out", path)
+    assert result == (1, "", f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
+
+
+# a small output fails at the closing flush, a large one during the dump
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("window", ["0:4", "0:300"])
+def test_full_disk_exits_1_one_line(vanish_r2, window):
+    with open("/dev/full", "w") as full:
+        proc = run_process("kernel", "--operator", vanish_r2, "--window", window, stdout=full)
+    full_disk = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr) == (1, full_disk)
+
+
+def test_writing_holds_no_copy_of_the_output(vanish_r2, tmp_path):
+    """The output streams into its file, so the peak of a run that writes a
+    dense basis stays below the size of what it writes: building the text as
+    one string first peaked at seven times that size."""
+    out = tmp_path / "basis.json"
+    tracemalloc.start()
+    try:
+        code = main(["kernel", "--operator", vanish_r2, "--window", "0:300", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out.stat().st_size
 
 
 def test_missing_and_malformed_files(capsys, tmp_path, vanish_r2):

@@ -1,5 +1,6 @@
 """Named operator families and their executable fact sheets."""
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from lacunary.corpus import (
     vanish_on_multiples_operator,
     zero_operator,
 )
-from lacunary.jsonio import dumps_canonical, manifest_to_json
+from lacunary.jsonio import dump_canonical, manifest_to_json
 
 
 def test_all_known_facts_hold():
@@ -167,7 +168,7 @@ def test_manifest_is_json_ready():
         "vanish_on_multiples_r3",
         "zero_operator",
     ]
-    dumps_canonical(data)
+    dump_canonical(data, io.StringIO())
 
 
 @settings(max_examples=30, deadline=None)

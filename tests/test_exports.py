@@ -55,12 +55,23 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(lacunary.__file__).parent.glob("*.py")), ids=lambda p: p.stem
-)
+SOURCES = sorted(Path(lacunary.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not sorted(_imported(tree) - _used(tree) - _exported(tree))
+
+
+# json.dumps builds the whole text before it is written: seven times the size
+# of a dense kernel basis at the peak
+BUILT_TEXT = re.compile(r"\bjson\.dumps\b|\bimport\b[^\n]*\bdumps\b")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_outputs_stream_through_dump_canonical(path):
+    assert not BUILT_TEXT.findall(path.read_text(encoding="utf-8"))
 
 
 def _private(name: str) -> bool:

@@ -1,7 +1,8 @@
 """The command line's output bytes on the corpus operators, pinned by SHA-256.
 
 Each case runs one subcommand in process at the arguments of the README
-and of the benchmark workloads, in both output formats.  A changed digest
+and of the benchmark workloads, in both output formats, once to stdout and
+once to an --out file, whose bytes must have the same digest.  A changed digest
 is a changed output: declare it, then record the new digest with
 
     PYTHONPATH=src python -m tests.test_golden
@@ -122,25 +123,38 @@ def _files(tmp):
     return paths
 
 
-def digests(tmp):
+def digests(tmp, to_file=False):
+    """(exit code, SHA-256 of the output) per case and format; the output is
+    stdout, or with to_file the file --out writes, while stdout stays empty."""
     paths = _files(tmp)
+    out_file = tmp / "out"
     table = {}
     for name, argv in CASES:
         for fmt in ("json", "text"):
-            code, out = _run([a.format(**paths) for a in argv] + ["--format", fmt])
-            table[(name, fmt)] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+            argv_fmt = [a.format(**paths) for a in argv] + ["--format", fmt]
+            if to_file:
+                code, out = _run(argv_fmt + ["--out", str(out_file)])
+                assert out == ""
+                data = out_file.read_bytes()
+            else:
+                code, out = _run(argv_fmt)
+                data = out.encode("utf-8")
+            table[(name, fmt)] = (code, hashlib.sha256(data).hexdigest())
     return table
 
 
 @pytest.fixture(scope="module")
 def observed(tmp_path_factory):
-    return digests(tmp_path_factory.mktemp("golden"))
+    tmp = tmp_path_factory.mktemp("golden")
+    return digests(tmp), digests(tmp, to_file=True)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("name", [name for name, _ in CASES])
 def test_output_bytes_unchanged(observed, name, fmt):
-    assert observed[(name, fmt)] == DIGESTS[(name, fmt)]
+    stdout, out_file = observed
+    assert stdout[(name, fmt)] == DIGESTS[(name, fmt)]
+    assert out_file[(name, fmt)] == DIGESTS[(name, fmt)]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Round trips and canonical forms for the file formats."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from lacunary.corpus import (
 )
 from lacunary.jsonio import (
     certificate_from_json,
-    dumps_canonical,
+    dump_canonical,
     format_rational,
     kernel_basis_to_json,
     operator_from_json,
@@ -48,6 +49,12 @@ from .strategies import (
     partial_lacunary_solutions,
     sequence_specs,
 )
+
+
+def canonical(data) -> str:
+    fh = io.StringIO()
+    dump_canonical(data, fh)
+    return fh.getvalue()
 
 
 def test_format_rational_canonical():
@@ -145,9 +152,7 @@ def test_sequence_round_trips_by_hand():
         data = to_json(spec)
         assert sequence_from_json(data) == spec
         # canonical text is stable across a decode/encode cycle
-        assert dumps_canonical(to_json(sequence_from_json(data))) == (
-            dumps_canonical(data)
-        )
+        assert canonical(to_json(sequence_from_json(data))) == canonical(data)
 
 
 def test_sequence_json_defaults():
@@ -264,7 +269,7 @@ def test_partial_lacunary_round_trip():
 def test_certificate_round_trip_property(cert):
     data = to_json(cert)
     assert certificate_from_json(data) == (data["kind"], cert)
-    assert certificate_from_json(json.loads(dumps_canonical(data))) == (data["kind"], cert)
+    assert certificate_from_json(json.loads(canonical(data))) == (data["kind"], cert)
 
 
 def test_inconclusive_to_json_fields():
@@ -313,12 +318,35 @@ def test_split_result_reads_as_a_dimension_certificate():
             certificate_from_json({"kind": "split_result", **bad})
 
 
-def test_dumps_canonical_is_byte_stable():
-    a = dumps_canonical({"b": 1, "a": [1, 2]})
-    b = dumps_canonical({"a": [1, 2], "b": 1})
+def test_dump_canonical_is_byte_stable():
+    a = canonical({"b": 1, "a": [1, 2]})
+    b = canonical({"a": [1, 2], "b": 1})
     assert a == b
     assert a.endswith("\n")
     assert a == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+    # the bytes of the one-string encoder the command line used before
+    kb = finite_support_kernel(vanish_on_multiples_operator(2), Window(0, 30))
+    basis = kernel_basis_to_json(kb)
+    assert canonical(basis) == json.dumps(basis, indent=2, sort_keys=True) + "\n"
+
+
+class CountingWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_dump_canonical_writes_in_batches():
+    # on an unbuffered stdout each write is a system call: json.dump makes
+    # one per chunk, about 60 000 for this basis
+    kb = finite_support_kernel(vanish_on_multiples_operator(2), Window(0, 300))
+    basis = kernel_basis_to_json(kb)
+    fh = CountingWrites()
+    dump_canonical(basis, fh)
+    assert fh.getvalue() == json.dumps(basis, indent=2, sort_keys=True) + "\n"
+    assert fh.writes <= len(fh.getvalue()) // 2000
 
 
 SOLUTION_LIST_KINDS = ("dimension_certificate", "partial_lacunary", "split_result")
@@ -342,7 +370,8 @@ def _with_solutions(kind, tables):
 
 def _verify(tmp_path, capsys, data):
     op = tmp_path / "op.json"
-    op.write_text(dumps_canonical(operator_to_json(vanish_on_multiples_operator(2))))
+    with open(op, "w", encoding="utf-8") as fh:
+        dump_canonical(operator_to_json(vanish_on_multiples_operator(2)), fh)
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(data))
     code = main(["verify", "--operator", str(op), "--certificate", str(cert)])
