@@ -13,7 +13,6 @@ from lacunary import (
     ResiduePolynomial,
     Window,
     residual,
-    support_in_window,
 )
 
 # Four ways to describe a bi-infinite sequence exactly.
@@ -32,7 +31,7 @@ print("residue poly:", [squares_on_evens.value_at(n) for n in range(-2, 5)])
 
 # Support at 3 * 2^m + 1: the gaps between nonzero entries keep doubling.
 doubling = GeometricSupport(scale=3, shift=1, value=Fraction(1))
-points = support_in_window(doubling, Window(0, 1000))
+points = tuple(n for n in Window(0, 1000).indices() if doubling.value_at(n))
 print("doubling support points:", points)
 print("gaps between them:      ", tuple(b - a for a, b in zip(points, points[1:])))
 

@@ -7,7 +7,6 @@ from lacunary import (
     ResidueMask,
     residue_certificate,
     build_lacunary,
-    support_in_window,
     verify_partial_lacunary,
 )
 from lacunary.corpus import (
@@ -28,7 +27,8 @@ print("block anchors:", [b.anchor for b in out.blocks])
 print("gap profile:  ", out.gap_profile)
 print("verifies:     ", verify_partial_lacunary(op, out))
 
-points = support_in_window(out.assembled(), out.covered_window())
+# The blocks' supports are disjoint, so their sum's support is their union.
+points = tuple(sorted(n for b in out.blocks for n in b.support_set()))
 print("assembled support:", points)
 print("its gaps:         ", tuple(b - a for a, b in zip(points, points[1:])))
 

@@ -48,7 +48,6 @@ from .sequences import (
     Window,
     as_fraction,
     lacunarity_witness,
-    support_in_window,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "residual",
     "residue_certificate",
     "split_lacunary",
-    "support_in_window",
     "verify_dimension_certificate",
     "verify_kernel_basis",
     "verify_partial_lacunary",

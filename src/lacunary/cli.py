@@ -34,7 +34,6 @@ from .engine import (
 from .jsonio import (
     certificate_from_json,
     dump_canonical,
-    kernel_basis_to_json,
     manifest_to_json,
     operator_from_json,
     sequence_from_json,
@@ -113,7 +112,7 @@ def _cmd_kernel(args) -> tuple[int, dict, list[str]]:
     text = [f"kernel dimension {kb.dimension} on window [{w.lo}, {w.hi}]"]
     for fs in kb.solutions:
         text.append(f"  solution with support {sorted(fs.support_set())}")
-    return EXIT_OK, kernel_basis_to_json(kb), text
+    return EXIT_OK, to_json(kb), text
 
 
 def _cmd_certify(args) -> tuple[int, dict, list[str]]:

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 
 from .linalg import KernelBasis, VerificationFailure, _eliminate, finite_support_kernel
 from .operators import FiniteSolution, OperatorSpec, _first_non_solution, first_residual
-from .sequences import ZERO, FiniteTable, Record, SequenceSpec, Window, _support_points
+from .sequences import ZERO, Record, SequenceSpec, Window, _support_points
 
 __all__ = [
     "DimensionCertificate",
@@ -122,9 +122,8 @@ class PartialLacunarySolution(Record):
     positive ray, descending on the negative ray.  gap_profile[i] is the
     distance from block i to block i+1 measured along the ray, so the zero
     run between them has length gap_profile[i] - 1; the construction keeps
-    gap_profile[i] >= i + 2.  The assembled sum is a single solution whose
-    support gaps reach the profile's maximum, a finite prefix of a
-    lacunary solution.
+    gap_profile[i] >= i + 2.  The blocks' sum is one solution whose support
+    gaps reach the profile's maximum: a finite prefix of a lacunary solution.
     """
 
     blocks: tuple[FiniteSolution, ...]
@@ -147,24 +146,6 @@ class PartialLacunarySolution(Record):
                 raise ValueError(f"gap_profile[{i}] = {gap} but blocks are {actual} apart")
             if gap < i + 2:
                 raise ValueError(f"gap_profile[{i}] = {gap} violates the i + 2 lower bound")
-
-    @property
-    def max_gap(self) -> int:
-        return max(self.gap_profile, default=0)
-
-    def covered_window(self) -> Window:
-        lo = min(b.min_support for b in self.blocks)
-        hi = max(b.max_support for b in self.blocks)
-        return Window(lo, hi)
-
-    def assembled(self) -> FiniteTable:
-        """The sum of all blocks as one finite table (default 0 outside)."""
-        w = self.covered_window()
-        values = [Fraction(0)] * w.size
-        for b in self.blocks:
-            for i, v in enumerate(b.values):
-                values[b.anchor + i - w.lo] += v
-        return FiniteTable(w.lo, tuple(values))
 
 
 def windowed_residual_check(
@@ -219,10 +200,9 @@ def certify_dimension(
     taken: list[FiniteSolution] = []
     used: set[int] = set()
     edge = -budget
-    period = op.period
     solved: dict[tuple[int, int], tuple[FiniteSolution, ...]] = {}
     while len(taken) < k:
-        candidates = _first_blocks(op, 1, edge, budget, period, solved, widen=True)
+        candidates = _first_blocks(op, 1, edge, budget, solved, widen=True)
         if not candidates:
             return Inconclusive(
                 reason=f"no {k} disjoint solutions within budget {budget}",
@@ -270,7 +250,6 @@ def _first_blocks(
     d: int,
     edge: int,
     budget: int,
-    period: Optional[int],
     solved: dict[tuple[int, int], tuple[FiniteSolution, ...]],
     widen: bool = False,
 ) -> tuple[FiniteSolution, ...]:
@@ -286,15 +265,16 @@ def _first_blocks(
     too.
 
     Each translation class of windows is solved once per search: with a
-    common period p (`period`, the caller's op.period), the system on
-    [lo, hi] is the one on [lo mod p, ...] shifted by a multiple of p, and
-    the kernel basis is canonical, so `solved` keeps the verified basis of
-    each (lo mod p, hi - lo) and a window of that class gets its
-    translate.  Without a period the shift is 0, so a class is one window.
+    common period p (op.period), the system on [lo, hi] is the one on
+    [lo mod p, ...] shifted by a multiple of p, and the kernel basis is
+    canonical, so `solved` keeps the verified basis of each
+    (lo mod p, hi - lo) and a window of that class gets its translate.
+    Without a period the shift is 0, so a class is one window.
     """
     if abs(edge) > budget:
         return ()
     width = op.order + 1
+    period = op.period
     translate = FiniteSolution._trusted  # a verified table, not checked again
     while True:
         lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
@@ -328,7 +308,6 @@ def build_lacunary(
     if budget < 1:
         raise ValueError("budget must be positive")
     best_gap = 0
-    period = op.period
     solved: dict[tuple[int, int], tuple[FiniteSolution, ...]] = {}
     for d, ray in ((1, "positive"), (-1, "negative")):
         blocks: list[FiniteSolution] = []
@@ -339,7 +318,7 @@ def build_lacunary(
             else:
                 target = max(len(gaps) + 2, 2 * gaps[-1] if gaps else 0)
                 edge = d * (_along(blocks[-1], d)[1] + target)
-            candidates = _first_blocks(op, d, edge, budget, period, solved)
+            candidates = _first_blocks(op, d, edge, budget, solved)
             if not candidates:
                 break
             found = min(candidates, key=lambda s: (_along(s, d)[::-1], s.values))

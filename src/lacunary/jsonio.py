@@ -53,7 +53,6 @@ __all__ = [
     "certificate_from_json",
     "dump_canonical",
     "format_rational",
-    "kernel_basis_to_json",
     "manifest_to_json",
     "operator_from_json",
     "operator_to_json",
@@ -152,8 +151,17 @@ def to_json(value: Any) -> Any:
         return [value.lo, value.hi]
     if isinstance(value, OperatorSpec):
         return operator_to_json(value)
-    if isinstance(value, KernelBasis):
-        return kernel_basis_to_json(value)
+    if isinstance(value, KernelBasis):  # the one dense form: each solution as a row
+        w = value.window
+        return {
+            "window": [w.lo, w.hi],
+            "vectors": [
+                ["0/1"] * (s.anchor - w.lo)
+                + [format_rational(v) for v in s.values]
+                + ["0/1"] * (w.hi - s.max_support)
+                for s in value.solutions
+            ],
+        }
     if not isinstance(value, Record):
         return value
     out = {"kind": _KINDS[type(value)]} if type(value) in _KINDS else {}
@@ -284,20 +292,6 @@ def operator_from_json(data: Any) -> OperatorSpec:
             f"declared order {declared} does not match {len(coeffs)} coefficients"
         )
     return op
-
-
-def kernel_basis_to_json(kb: KernelBasis) -> dict:
-    """The one dense form: each solution as a row of values across the window."""
-    w = kb.window
-    return {
-        "window": to_json(w),
-        "vectors": [
-            ["0/1"] * (s.anchor - w.lo)
-            + [format_rational(v) for v in s.values]
-            + ["0/1"] * (w.hi - s.max_support)
-            for s in kb.solutions
-        ],
-    }
 
 
 def _kernel_basis_from_json(data: dict) -> KernelBasis:

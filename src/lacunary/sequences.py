@@ -23,6 +23,7 @@ dataclass: each ``lacunary`` command is a fresh process, and importing
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -35,19 +36,18 @@ __all__ = [
     "Window",
     "as_fraction",
     "lacunarity_witness",
-    "support_in_window",
 ]
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int]
 
 ZERO = Fraction(0)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce an int, ``"p/q"`` string, or Fraction to Fraction.
+    """Coerce an int or Fraction to Fraction; floats and strings are rejected.
 
-    Floats are rejected: exactness is load-bearing for every certificate
-    this library produces.
+    Exactness is load-bearing for every certificate this library produces,
+    and only `jsonio.parse_rational` reads a rational from text.
     """
     if isinstance(x, Fraction):
         return x
@@ -55,10 +55,8 @@ def as_fraction(x: RationalLike) -> Fraction:
         raise TypeError("bool is not a rational value")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
-        raise TypeError("floats are not allowed; pass Fraction, int, or 'p/q'")
+        raise TypeError("floats are not allowed; pass Fraction or int")
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -214,10 +212,7 @@ class ResiduePolynomial(Record):
             raise ValueError(f"two keys name one residue class mod {self.modulus}")
         canon: dict[int, tuple[Fraction, ...]] = {}
         for residue, poly in self.per_class.items():
-            if isinstance(poly, (Fraction, int, str)):
-                coeffs = (as_fraction(poly),)
-            else:
-                coeffs = tuple(as_fraction(c) for c in poly)
+            coeffs = tuple(as_fraction(c) for c in poly)
             while coeffs and coeffs[-1] == 0:
                 coeffs = coeffs[:-1]
             if coeffs:
@@ -285,11 +280,6 @@ def _support_points(spec: SequenceSpec, window: Window) -> Iterator[int]:
     return (n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0)
 
 
-def support_in_window(spec: SequenceSpec, window: Window) -> tuple[int, ...]:
-    """Exact support of `spec` in `window`: its nonzero indices, increasing."""
-    return tuple(_support_points(spec, window))
-
-
 def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool:
     """True iff two consecutive support points in `window` differ by >= min_gap.
 
@@ -298,5 +288,4 @@ def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool
     """
     if min_gap < 1:
         raise ValueError("min_gap must be positive")
-    points = support_in_window(spec, window)
-    return max((b - a for a, b in zip(points, points[1:])), default=0) >= min_gap
+    return any(b - a >= min_gap for a, b in pairwise(_support_points(spec, window)))

@@ -8,7 +8,8 @@ kernel: symmetric_window_certify, an earlier certify search kept as a
 reference for the block sweep, and uncached_first_blocks, the block search
 with every window solved; per_entry_certificate reads a certificate's
 solutions with the library's parse_rational.  trimmed_solution builds the
-FiniteSolution of a table with zeros at its ends, for tests that draw one.
+FiniteSolution of a table with zeros at its ends, for tests that draw one,
+and assembled the FiniteTable of a partial lacunary solution's block sum.
 build_parser is the argparse parser the command line used to have, kept as
 the reference for the parse of its option table.
 """
@@ -21,6 +22,7 @@ from fractions import Fraction
 from lacunary import (
     DimensionCertificate,
     FiniteSolution,
+    FiniteTable,
     Inconclusive,
     Window,
     finite_support_kernel,
@@ -249,6 +251,17 @@ def trimmed_solution(anchor, values):
     if not nonzero:
         return None
     return FiniteSolution(anchor + nonzero[0], values[nonzero[0] : nonzero[-1] + 1])
+
+
+def assembled(partial):
+    """The sum of a partial lacunary solution's blocks as one FiniteTable over their hull."""
+    lo = min(b.min_support for b in partial.blocks)
+    hi = max(b.max_support for b in partial.blocks)
+    values = [Fraction(0)] * (hi - lo + 1)
+    for b in partial.blocks:
+        for i, v in enumerate(b.values):
+            values[b.anchor + i - lo] += v
+    return FiniteTable(lo, tuple(values))
 
 
 def per_entry_certificate(data):

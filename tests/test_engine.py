@@ -40,6 +40,7 @@ from lacunary.linalg import finite_support_kernel
 
 from . import oracles
 from .oracles import (
+    assembled,
     dense_windowed_check,
     every_equation_check,
     naive_verify_certificate,
@@ -340,7 +341,7 @@ def test_build_lacunary_frozen_trace():
     assert out.ray == "positive"
     assert out.gap_profile == (3, 6, 12, 24)
     assert [b.anchor for b in out.blocks] == [1, 4, 10, 22, 46]
-    assert out.max_gap >= 20
+    assert max(out.gap_profile) >= 20
     gaps = out.gap_profile
     assert all(b > a for a, b in zip(gaps, gaps[1:]))
     assert all(g >= i + 2 for i, g in enumerate(gaps))
@@ -350,12 +351,11 @@ def test_build_lacunary_frozen_trace():
 def test_build_lacunary_assembled_table():
     op = vanish_on_multiples_operator(2)
     out = build_lacunary(op, 20, 200)
-    table = out.assembled()
-    assert table.anchor == 1
+    table = assembled(out)
+    assert table.anchor == 1 and len(table.values) == 46
     assert table.value_at(1) == 1 and table.value_at(46) == 1
     assert table.value_at(2) == 0
-    w = out.covered_window()
-    windowed_residual_check(op, table, Window(w.lo - 2, w.hi + 2))
+    windowed_residual_check(op, table, Window(1 - 2, 46 + 2))
 
 
 def test_build_lacunary_inconclusive_cases():
@@ -426,9 +426,9 @@ def test_build_lacunary_validation():
 def test_build_then_split_recovers_isolated_blocks():
     op = vanish_on_multiples_operator(2)
     out = build_lacunary(op, 20, 200)
-    cw = out.covered_window()
-    w = Window(cw.lo - 3, cw.hi + 3)
-    pieces = split_lacunary(op, out.assembled(), w)
+    table = assembled(out)
+    w = Window(table.anchor - 3, table.anchor + len(table.values) - 1 + 3)
+    pieces = split_lacunary(op, table, w)
     piece_supports = [p.support_set() for p in pieces]
     gaps = out.gap_profile
     for i, block in enumerate(out.blocks):
@@ -504,7 +504,7 @@ def test_certificates_are_sound_by_construction(op, k):
 def test_build_results_verify(op, min_gap):
     out = build_lacunary(op, min_gap, 60)
     if isinstance(out, PartialLacunarySolution):
-        assert out.max_gap >= min_gap
+        assert max(out.gap_profile) >= min_gap
         assert verify_partial_lacunary(op, out)
 
 
@@ -537,9 +537,9 @@ def test_sparse_check_matches_dense_oracle_on_a_wide_window(x):
 
 def dense_partial_check(op, partial):
     """The assembled-sum check as a scan of every index around the blocks."""
-    cw = partial.covered_window()
-    w = Window(cw.lo - op.order, cw.hi + op.order)
-    return dense_windowed_check(op, partial.assembled(), w) is None
+    table = assembled(partial)
+    w = Window(table.anchor - op.order, table.anchor + len(table.values) - 1 + op.order)
+    return dense_windowed_check(op, table, w) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -800,7 +800,7 @@ def test_one_check_per_translation_class(monkeypatch):
 
 
 def test_block_search_matches_the_uncached_oracle():
-    def uncached(op, d, edge, budget, period, solved, widen=False):
+    def uncached(op, d, edge, budget, solved, widen=False):
         return uncached_first_blocks(op, d, edge, budget, widen)
 
     @settings(max_examples=30, deadline=None)
@@ -814,7 +814,7 @@ def test_block_search_matches_the_uncached_oracle():
             for d in (1, -1):
                 for widen in (False, True):
                     expected = uncached_first_blocks(op, d, edge, budget, widen)
-                    assert engine_mod._first_blocks(op, d, edge, budget, op.period, solved, widen) == expected
+                    assert engine_mod._first_blocks(op, d, edge, budget, solved, widen) == expected
         k = data.draw(st.integers(min_value=1, max_value=6))
         gap = data.draw(st.integers(min_value=1, max_value=12))
         cached = certify_dimension(op, k, budget), build_lacunary(op, gap, budget)
@@ -845,7 +845,7 @@ def test_block_search_solves_each_translation_class_once(monkeypatch):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 engine_mod, "_first_blocks",
-                lambda op, d, edge, budget, period, solved, widen=False:
+                lambda op, d, edge, budget, solved, widen=False:
                 uncached_first_blocks(op, d, edge, budget, widen),
             )
             assert search(*args) == out

@@ -78,14 +78,20 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _library_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def _attributes(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the library reads or calls as an attribute, `x.name`."""
+    return {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+
+
 def test_no_unreferenced_private_functions_classes_or_methods():
     """A private def nothing in the library refers to is dead code, such as a
     routine left behind where it used to live; so is one that its own module
     also imports, since one binding shadows the other."""
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in Path(lacunary.__file__).parent.glob("*.py")
-    }
+    trees = _library_trees()
     defs = (ast.FunctionDef, ast.ClassDef)
     loaded = {m: {n.id for n in ast.walk(t) if isinstance(n, ast.Name)} for m, t in trees.items()}
     imported = {  # (module, name) pairs that `from .module import name` reaches
@@ -95,7 +101,7 @@ def test_no_unreferenced_private_functions_classes_or_methods():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for a in node.names
     }
-    attrs = {n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    attrs = _attributes(trees)
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -108,6 +114,24 @@ def test_no_unreferenced_private_functions_classes_or_methods():
             for method in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(method, defs) and _private(method.name) and method.name not in attrs:
                     dead.append(f"{module}.{node.name}.{method.name}")
+    assert not sorted(dead)
+
+
+def test_no_unreferenced_public_methods_or_properties():
+    """A public method or property of a library class that no library code
+    reads as an attribute serves only tests and demos, so it does not belong
+    in the library: a view such as the sum of a partial solution's blocks
+    lives in tests/oracles.py instead."""
+    trees = _library_trees()
+    attrs = _attributes(trees)
+    dead = [
+        f"{module}.{node.name}.{method.name}"
+        for module, tree in trees.items()
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        and method.name not in attrs
+    ]
     assert not sorted(dead)
 
 

@@ -172,11 +172,12 @@ def test_finite_solution_invariants():
 
 def test_finite_solution_keeps_the_record_contract():
     # FiniteSolution has its own constructor; everything else is Record's
-    x = FiniteSolution(2, (Fraction(1), 0, "3/4"))
+    x = FiniteSolution(2, (Fraction(1), 0, Fraction(3, 4)))
     assert x.values == (Fraction(1), Fraction(0), Fraction(3, 4))
     assert all(type(v) is Fraction for v in x.values)
-    assert FiniteSolution(anchor=2, values=x.values) == x == FiniteSolution(2, values=[1, 0, "3/4"])
-    assert hash(FiniteSolution(values=[1, 0, "3/4"], anchor=2)) == hash(x)
+    assert FiniteSolution(anchor=2, values=x.values) == x
+    assert x == FiniteSolution(2, values=[1, 0, Fraction(3, 4)])
+    assert hash(FiniteSolution(values=[1, 0, Fraction(3, 4)], anchor=2)) == hash(x)
     assert x != FiniteSolution(3, x.values) and x != (2, x.values)
     assert repr(FiniteSolution(-1, (Fraction(1, 2),))) == (
         "FiniteSolution(anchor=-1, values=(Fraction(1, 2),))"
@@ -192,7 +193,8 @@ def test_finite_solution_keeps_the_record_contract():
         ((), ValueError, "empty value table"),
         ((0, 1), ValueError, "value table must be trimmed to its support"),
         ((1, 0), ValueError, "value table must be trimmed to its support"),
-        ((1, 0.5), TypeError, "floats are not allowed; pass Fraction, int, or 'p/q'"),
+        ((1, 0.5), TypeError, "floats are not allowed; pass Fraction or int"),
+        ((1, "3/4"), TypeError, "cannot interpret '3/4' as a rational number"),
         ((True,), TypeError, "bool is not a rational value"),
     ):
         with pytest.raises(error) as caught:

@@ -14,10 +14,9 @@ from lacunary import (
     Window,
     as_fraction,
     lacunarity_witness,
-    support_in_window,
 )
 from lacunary.corpus import CorpusEntry
-from lacunary.sequences import Record
+from lacunary.sequences import Record, _support_points
 
 from .strategies import sequence_specs, windows
 
@@ -65,25 +64,29 @@ def test_finite_table_eval_and_default():
     assert seq.value_at(-100) == 9
 
 
-def test_support_in_window_finite_table():
+def support(spec, w):
+    return tuple(_support_points(spec, w))
+
+
+def test_support_points_finite_table():
     seq = FiniteTable(0, (Fraction(1), Fraction(0), Fraction(2)))
-    assert support_in_window(seq, Window(-2, 5)) == (0, 2)
+    assert support(seq, Window(-2, 5)) == (0, 2)
 
 
-def test_support_in_window_geometric():
+def test_support_points_geometric():
     seq = GeometricSupport(3, 1, Fraction(1))
-    assert support_in_window(seq, Window(0, 100)) == (4, 7, 13, 25, 49, 97)
+    assert support(seq, Window(0, 100)) == (4, 7, 13, 25, 49, 97)
 
 
-def test_support_in_window_periodic():
+def test_support_points_periodic():
     seq = Periodic(3, (Fraction(0), Fraction(1), Fraction(1)))
-    assert support_in_window(seq, Window(0, 5)) == (1, 2, 4, 5)
+    assert support(seq, Window(0, 5)) == (1, 2, 4, 5)
 
 
 def test_lacunarity_witness_geometric():
     seq = GeometricSupport(3, 1, Fraction(1))
     assert lacunarity_witness(seq, Window(0, 1000), 40)
-    assert support_in_window(seq, Window(0, 1000))[-2:] == (385, 769)
+    assert support(seq, Window(0, 1000))[-2:] == (385, 769)
     assert not lacunarity_witness(seq, Window(0, 1000), 385)
 
 
@@ -109,10 +112,13 @@ def test_window_validation():
 
 def test_as_fraction_coercions():
     assert as_fraction(3) == Fraction(3)
-    assert as_fraction("2/4") == Fraction(1, 2)
     assert as_fraction(Fraction(5, 7)) == Fraction(5, 7)
     with pytest.raises(TypeError):
         as_fraction(0.5)
+    # text is read by jsonio.parse_rational alone, in its one grammar
+    for text in ("2/4", "1.5", " 1e-3 ", "1_0"):
+        with pytest.raises(TypeError):
+            as_fraction(text)
     with pytest.raises(TypeError):
         as_fraction(True)
 
@@ -144,6 +150,10 @@ def test_residue_polynomial_canonicalization():
     for per_class in ({2: (Fraction(1),), 5: (Fraction(2),)}, {0: (Fraction(0),), -3: (Fraction(1),)}):
         with pytest.raises(ValueError, match="residue class"):
             ResiduePolynomial(3, per_class)
+    # a class polynomial is a coefficient tuple, never a bare scalar
+    for scalar in (Fraction(2), 2, "2"):
+        with pytest.raises(TypeError):
+            ResiduePolynomial(3, {0: scalar})
 
 
 def scanned_support(spec, w):
@@ -152,7 +162,7 @@ def scanned_support(spec, w):
 
 @given(sequence_specs, windows)
 def test_support_matches_pointwise_evaluation(spec, w):
-    assert support_in_window(spec, w) == scanned_support(spec, w)
+    assert support(spec, w) == scanned_support(spec, w)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +179,7 @@ def test_support_matches_pointwise_evaluation(spec, w):
 )
 def test_enumerated_support_matches_scan_on_wide_windows(spec):
     for w in (Window(-40, 5000), Window(-50, -10), Window(4994, 4995), Window(4995, 5003)):
-        assert support_in_window(spec, w) == scanned_support(spec, w)
+        assert support(spec, w) == scanned_support(spec, w)
 
 
 @given(sequence_specs, windows, st.integers(min_value=1, max_value=10))
@@ -237,4 +247,6 @@ def test_record_post_init_still_validates():
     with pytest.raises(TypeError):
         Window(0, "1")
     # __post_init__ normalizes through object.__setattr__
-    assert Periodic(1, ("1/2",)).values == (Fraction(1, 2),)
+    assert [type(v) for v in Periodic(1, (1,)).values] == [Fraction]
+    with pytest.raises(TypeError):
+        Periodic(1, ("1/2",))
