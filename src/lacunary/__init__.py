@@ -33,7 +33,6 @@ from .operators import (
     MaskViolation,
     OperatorSpec,
     ResidueCertificate,
-    ResidueMask,
     first_residual,
     is_global_solution_finite,
     residual,
@@ -44,6 +43,7 @@ from .sequences import (
     FiniteTable,
     GeometricSupport,
     Periodic,
+    ResidueMask,
     ResiduePolynomial,
     Window,
     as_fraction,

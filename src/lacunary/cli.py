@@ -14,6 +14,7 @@ engine types and reports.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from contextlib import nullcontext, suppress
 from types import SimpleNamespace
@@ -54,15 +55,16 @@ class UsageError(Exception):
     pass
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() also reads "1_0", " 1" and non-ASCII digits
+
+
 def _parse_window(text: str) -> Window:
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"window must be LO:HI, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"window bounds must be integers, got {text!r}") from None
-    return Window(lo, hi)
+    if not all(map(_INTEGER.fullmatch, parts)):
+        raise UsageError(f"window bounds must be integers, got {text!r}")
+    return Window(int(parts[0]), int(parts[1]))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -197,12 +199,12 @@ _DESCRIPTION = ("Exact witnesses for infinite-dimensional solution spaces of lin
                 "difference equations with sequence coefficients.")
 _HELP, _FORMATS = ("-h", "--help"), ("json", "text")
 _REQUIRED = object()  # the default of an argument that must be given
-_FILE, _WINDOW, _BUDGET = ("FILE", _REQUIRED), ("LO:HI", _REQUIRED), ("INT", 1000)
+_FILE, _WINDOW, _BUDGET = ("FILE", _REQUIRED), ("LO:HI", _REQUIRED), ("INT", "1000")
 _OUTPUT = {"--format": ("{json,text}", "json"), "--out": ("FILE", None)}
 
 # Each command's handler, help line and arguments, besides the _OUTPUT options
 # every command takes.  An argument is an option "--name" or a positional
-# "name", mapped to its metavar and its default; an INT value is read as an int.
+# "name", mapped to its metavar and its default; an INT value, default too, is read as an int.
 _COMMANDS = {
     "check": (_cmd_check, "verify a sequence solves the equation on a window",
               {"--operator": _FILE, "--sequence": _FILE, "--window": _WINDOW}),
@@ -265,10 +267,10 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         value = given.get(name, default)
         if value is _REQUIRED:
             raise UsageError(f"{command} needs a value for {name}")
-        try:
-            value = int(value) if metavar == "INT" else value
-        except ValueError:
-            raise UsageError(f"{name} must be an integer, got {value!r}") from None
+        if metavar == "INT":
+            if not _INTEGER.fullmatch(value):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
         if name == "--format" and value not in _FORMATS:
             raise UsageError(f"--format must be one of {', '.join(_FORMATS)}, got {value!r}")
         setattr(args, name.lstrip("-"), value)

@@ -20,16 +20,12 @@ from .engine import (
     split_lacunary,
 )
 from .linalg import finite_support_kernel, free_kernel_dim
-from .operators import (
-    OperatorSpec,
-    ResidueMask,
-    residual,
-    residue_certificate,
-)
+from .operators import OperatorSpec, residual, residue_certificate
 from .sequences import (
     GeometricSupport,
     Periodic,
     Record,
+    ResidueMask,
     ResiduePolynomial,
     SequenceSpec,
     Window,
@@ -121,18 +117,7 @@ def random_residue_operator(r: int, modulus: int, seed: int) -> OperatorSpec:
 
 def coefficient_masks(op: OperatorSpec) -> list[ResidueMask]:
     """Natural residue masks of residue-pattern and periodic coefficients."""
-    masks = []
-    for a in op.coeffs:
-        if isinstance(a, ResiduePolynomial):
-            masks.append(ResidueMask(a.modulus, frozenset(a.per_class)))
-        elif isinstance(a, Periodic):
-            allowed = frozenset(
-                n for n in range(a.period) if a.value_at(n) != 0
-            )
-            masks.append(ResidueMask(a.period, allowed))
-        else:
-            raise ValueError("no natural residue mask for this coefficient kind")
-    return masks
+    return [a.natural_mask() for a in op.coeffs]
 
 
 class KnownFact(Record):

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 
 from .linalg import KernelBasis, VerificationFailure, _eliminate, finite_support_kernel
 from .operators import FiniteSolution, OperatorSpec, _first_non_solution, first_residual
-from .sequences import ZERO, Record, SequenceSpec, Window, _support_points
+from .sequences import ZERO, Record, SequenceSpec, Window
 
 __all__ = [
     "DimensionCertificate",
@@ -167,7 +167,7 @@ def windowed_residual_check(
     runs: list[tuple[int, int]] = []
 
     def walk() -> Iterator[int]:
-        for n in _support_points(x, w):
+        for n in x.support_points(w):
             if runs and n - runs[-1][1] <= r + 1:
                 runs[-1] = (runs[-1][0], n)
             else:

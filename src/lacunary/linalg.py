@@ -106,8 +106,8 @@ def _eliminate(rows: Sequence[BandRow], ncols: int) -> dict[int, list[int]]:
     return pivots
 
 
-def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]:
-    """Exact rank and canonical nullspace basis of a band-row system.
+def _nullspace(rows: Sequence[BandRow], ncols: int) -> list[BandRow]:
+    """Canonical nullspace basis of a band-row system, checked exactly.
 
     Basis vectors come in band form, (first column, integer values),
     trimmed to their nonzero span.
@@ -148,7 +148,7 @@ def _nullspace(rows: Sequence[BandRow], ncols: int) -> tuple[int, list[BandRow]]
             )
             assert acc == 0, "nullspace vector fails exact M v = 0 check"
     assert len(pivots) + len(basis) == ncols
-    return len(pivots), basis
+    return basis
 
 
 class KernelBasis(Record):
@@ -176,7 +176,7 @@ def finite_support_kernel(op: OperatorSpec, w: Window) -> KernelBasis:
     `verify` checks a certificate); a failure aborts the computation
     rather than returning an unsound certificate.
     """
-    _, basis = _nullspace(window_matrix(op, w), w.size)
+    basis = _nullspace(window_matrix(op, w), w.size)
     kb = KernelBasis(w, tuple(FiniteSolution(w.lo + first, values) for first, values in basis))
     bad = _first_non_solution(op, kb.solutions)
     if bad is not None:

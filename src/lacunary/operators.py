@@ -4,14 +4,15 @@ An operator of order r acts on a bi-infinite sequence x by
 
     (L x)(n) = sum_{k=0}^{r} a_k(n) * x(n + k)
 
-where each coefficient a_k is itself a finitely described sequence.  The
-leading and trailing coefficients may vanish at individual points; nothing
-here assumes them invertible.  This module evaluates residuals, walks
-the equations near a support for the first that fails (the one walk
-behind every residual check), verifies finite-support global solutions
-by a complete finite check (once per translation class: the one re-check
-that kernel, split and verify share), builds the linear system that a window of
-unknowns must satisfy as band rows (each equation touches at most r + 1
+where each coefficient a_k is itself a finitely described sequence, asked
+for its period and mask points, never inspected.  The leading and trailing
+coefficients may vanish at individual points; nothing here assumes them
+invertible.  This module evaluates residuals, walks the equations near a
+support for the first that fails (the one walk behind every residual
+check), verifies finite-support global solutions by a complete finite
+check (once per translation class: the one re-check that kernel, split
+and verify share), builds the linear system that a window of unknowns
+must satisfy as band rows (each equation touches at most r + 1
 consecutive unknowns, so it is stored as its first column and those
 entries), and issues residue-class disjointness certificates.
 """
@@ -24,11 +25,9 @@ from typing import Iterable, Optional, Sequence
 
 from .sequences import (
     ZERO,
-    FiniteTable,
-    Periodic,
     RationalLike,
     Record,
-    ResiduePolynomial,
+    ResidueMask,
     SequenceSpec,
     Window,
     _set,
@@ -40,7 +39,6 @@ __all__ = [
     "MaskViolation",
     "OperatorSpec",
     "ResidueCertificate",
-    "ResidueMask",
     "first_residual",
     "is_global_solution_finite",
     "residual",
@@ -67,22 +65,12 @@ class OperatorSpec(Record):
     def period(self) -> Optional[int]:
         """A common period p of all coefficients, or None if not known to have one.
 
-        Each coefficient must be Periodic or a ResiduePolynomial whose classes
-        are all constants; p is the lcm of their periods and moduli.  L then
-        commutes with translation by p, so a translate of a solution by a
-        multiple of p is again a solution.
+        p is the lcm of the coefficients' `known_period`s, None if one is
+        unknown.  L commutes with translation by p, so a translate of a
+        solution by a multiple of p is again a solution.
         """
-        periods = []
-        for a in self.coeffs:
-            if isinstance(a, Periodic):
-                periods.append(a.period)
-            elif isinstance(a, ResiduePolynomial) and all(
-                len(poly) == 1 for poly in a.per_class.values()
-            ):
-                periods.append(a.modulus)
-            else:
-                return None
-        return math.lcm(*periods)
+        periods = [a.known_period() for a in self.coeffs]
+        return None if None in periods else math.lcm(*periods)
 
 
 class FiniteSolution(Record):
@@ -238,33 +226,6 @@ class MaskViolation(Exception):
         self.n = n
 
 
-class ResidueMask(Record):
-    """Residue classes mod `modulus` on which a sequence may be nonzero.
-
-    An empty `allowed` set denotes the identically zero sequence.
-    """
-
-    modulus: int
-    allowed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        allowed = frozenset(int(a) for a in self.allowed)
-        if any(not (0 <= a < self.modulus) for a in allowed):
-            raise ValueError("allowed residues must lie in [0, modulus)")
-        object.__setattr__(self, "allowed", allowed)
-
-    def lifted(self, target_modulus: int) -> frozenset[int]:
-        if target_modulus % self.modulus != 0:
-            raise ValueError("target modulus must be a multiple of the mask modulus")
-        reps = target_modulus // self.modulus
-        return frozenset(a + j * self.modulus for a in self.allowed for j in range(reps))
-
-    def admits(self, n: int) -> bool:
-        return n % self.modulus in self.allowed
-
-
 class ResidueCertificate(Record):
     """Outcome of residue-class disjointness certification.
 
@@ -282,35 +243,6 @@ class ResidueCertificate(Record):
     conflicts: tuple[tuple[int, int, int], ...]
 
 
-def _mask_points(a: SequenceSpec, modulus: int) -> Iterable[int]:
-    """Indices whose values decide whether `a` respects a mask mod `modulus`."""
-    if isinstance(a, Periodic):
-        return range(math.lcm(a.period, modulus))
-    if isinstance(a, ResiduePolynomial):
-        period = math.lcm(a.modulus, modulus)
-        # a nonzero polynomial of degree d has a non-root among any d + 1 points
-        return (
-            n + j * period
-            for n in range(period)
-            for j in range(len(a.per_class.get(n % a.modulus, ())))
-        )
-    if isinstance(a, FiniteTable):
-        # past the table every residue class carries the default
-        return range(a.anchor, a.anchor + len(a.values) + modulus)
-    points = []
-    d = a.scale
-    while a.allow_negative_m and d % 2 == 0:
-        d //= 2
-        points.append(d + a.shift)
-    # scale * 2**m mod the modulus is eventually periodic: stop at a repeat
-    seen, step = set(), a.scale
-    while step % modulus not in seen:
-        seen.add(step % modulus)
-        points.append(step + a.shift)
-        step *= 2
-    return points
-
-
 def residue_certificate(
     op: OperatorSpec,
     coeff_masks: Sequence[ResidueMask],
@@ -318,7 +250,7 @@ def residue_certificate(
 ) -> ResidueCertificate:
     """Certify L x = 0 for all x supported inside `sol_mask`, by disjointness.
 
-    Each claimed coefficient mask is checked exactly against its sequence:
+    Each claimed coefficient mask is checked exactly at its `mask_points`:
     one common period of a periodic coefficient, every subclass of a
     nonzero residue polynomial, the table and default of a finite table,
     and the eventually periodic doubling points of a geometric support.  A
@@ -333,7 +265,7 @@ def residue_certificate(
         raise ValueError(f"need {r + 1} coefficient masks, got {len(coeff_masks)}")
 
     for k, (a_k, mask) in enumerate(zip(op.coeffs, coeff_masks)):
-        for n in _mask_points(a_k, mask.modulus):
+        for n in a_k.mask_points(mask.modulus):
             if a_k.value_at(n) != 0 and not mask.admits(n):
                 raise MaskViolation(k, n)
 

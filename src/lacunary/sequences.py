@@ -12,8 +12,10 @@ description kinds are supported:
 * :class:`GeometricSupport` -- a single value on the doubling index set
   ``scale * 2**m + shift``, zero elsewhere.
 
-All values are `fractions.Fraction`; floats are rejected so that every
-downstream computation stays exact.
+Each kind answers what the engine asks of a sequence (a known period,
+support points, mask points, a natural :class:`ResidueMask`), so no other
+module dispatches on the kinds.  All values are `fractions.Fraction`;
+floats are rejected so that every downstream computation stays exact.
 
 Every value type of the library is a :class:`Record`, not a frozen
 dataclass: each ``lacunary`` command is a fresh process, and importing
@@ -22,15 +24,17 @@ dataclass: each ``lacunary`` command is a fresh process, and importing
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import pairwise
+from itertools import pairwise, takewhile
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 __all__ = [
     "FiniteTable",
     "GeometricSupport",
     "Periodic",
+    "ResidueMask",
     "ResiduePolynomial",
     "SequenceSpec",
     "Window",
@@ -140,7 +144,51 @@ class Window(Record):
         return range(self.lo, self.hi + 1)
 
 
-class FiniteTable(Record):
+class ResidueMask(Record):
+    """Residue classes mod `modulus` on which a sequence may be nonzero.
+
+    An empty `allowed` set denotes the identically zero sequence.
+    """
+
+    modulus: int
+    allowed: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
+            raise ValueError("modulus must be positive")
+        allowed = frozenset(int(a) for a in self.allowed)
+        if any(not (0 <= a < self.modulus) for a in allowed):
+            raise ValueError("allowed residues must lie in [0, modulus)")
+        object.__setattr__(self, "allowed", allowed)
+
+    def lifted(self, target_modulus: int) -> frozenset[int]:
+        if target_modulus % self.modulus != 0:
+            raise ValueError("target modulus must be a multiple of the mask modulus")
+        reps = target_modulus // self.modulus
+        return frozenset(a + j * self.modulus for a in self.allowed for j in range(reps))
+
+    def admits(self, n: int) -> bool:
+        return n % self.modulus in self.allowed
+
+
+class _Sequence:
+    """Defaults for what a kind knows beyond `value_at`: nothing.  Each kind
+    overrides what its description tells, and defines `mask_points(modulus)`,
+    the indices whose values decide whether it respects a mask mod modulus."""
+
+    def known_period(self) -> Optional[int]:
+        """A period of the sequence, or None if none is known."""
+        return None
+
+    def support_points(self, window: Window) -> Iterator[int]:
+        """The nonzero indices in `window`, increasing, read one at a time."""
+        return (n for n in window.indices() if self.value_at(n) != 0)
+
+    def natural_mask(self) -> ResidueMask:
+        raise ValueError("no natural residue mask for this coefficient kind")
+
+
+class FiniteTable(_Sequence, Record):
     """Explicit values on ``[anchor, anchor + len(values) - 1]``, `default` elsewhere."""
 
     anchor: int
@@ -159,8 +207,18 @@ class FiniteTable(Record):
             return self.values[i]
         return self.default
 
+    def support_points(self, window: Window) -> Iterator[int]:
+        if self.default != 0:
+            return super().support_points(window)
+        lo, end = max(window.lo, self.anchor), min(window.hi + 1, self.anchor + len(self.values))
+        return (n for n in range(lo, end) if self.values[n - self.anchor] != 0)
 
-class Periodic(Record):
+    def mask_points(self, modulus: int) -> range:
+        # past the table every residue class carries the default
+        return range(self.anchor, self.anchor + len(self.values) + modulus)
+
+
+class Periodic(_Sequence, Record):
     """Periodic sequence: value at n is ``values[(n - offset) % period]``."""
 
     period: int
@@ -183,6 +241,16 @@ class Periodic(Record):
     def value_at(self, n: int) -> Fraction:
         return self.values[(n - self.offset) % self.period]
 
+    def known_period(self) -> int:
+        return self.period
+
+    def mask_points(self, modulus: int) -> range:
+        return range(math.lcm(self.period, modulus))
+
+    def natural_mask(self) -> ResidueMask:
+        allowed = frozenset(n for n in range(self.period) if self.value_at(n) != 0)
+        return ResidueMask(self.period, allowed)
+
 
 def _eval_poly(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
     # Horner, ascending coefficient order.
@@ -192,7 +260,7 @@ def _eval_poly(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
     return acc
 
 
-class ResiduePolynomial(Record):
+class ResiduePolynomial(_Sequence, Record):
     """One polynomial in n per residue class mod `modulus`; absent classes are 0.
 
     Polynomials are stored as ascending coefficient tuples.  Keys are reduced
@@ -228,8 +296,21 @@ class ResiduePolynomial(Record):
             return ZERO
         return _eval_poly(poly, n)
 
+    def known_period(self) -> Optional[int]:
+        """The modulus when every class is a constant, else None."""
+        return self.modulus if all(len(poly) == 1 for poly in self.per_class.values()) else None
 
-class GeometricSupport(Record):
+    def mask_points(self, modulus: int) -> Iterator[int]:
+        period = math.lcm(self.modulus, modulus)
+        # a nonzero polynomial of degree d has a non-root among any d + 1 points
+        counts = [len(self.per_class.get(n % self.modulus, ())) for n in range(period)]
+        return (n + j * period for n in range(period) for j in range(counts[n]))
+
+    def natural_mask(self) -> ResidueMask:
+        return ResidueMask(self.modulus, frozenset(self.per_class))
+
+
+class GeometricSupport(_Sequence, Record):
     """`value` on the index set ``scale * 2**m + shift``, zero elsewhere.
 
     By default m ranges over the non-negative integers.  With
@@ -259,25 +340,29 @@ class GeometricSupport(Record):
                 return self.value
         return ZERO
 
+    def _points(self) -> Iterator[int]:
+        # d * 2**j + shift for j >= 0, increasing: the support unless value is 0,
+        # with d the odd part of scale when m < 0 is allowed, else scale itself
+        d = self.scale // (self.scale & -self.scale) if self.allow_negative_m else self.scale
+        while True:
+            yield d + self.shift
+            d *= 2
+
+    def support_points(self, window: Window) -> Iterator[int]:
+        points = takewhile(lambda n: n <= window.hi, self._points())
+        return (n for n in points if n >= window.lo and self.value != 0)
+
+    def mask_points(self, modulus: int) -> Iterator[int]:
+        # d * 2**j mod the modulus follows x -> 2x, so from its first repeat on it cycles
+        seen = set()
+        for n in self._points():
+            if n % modulus in seen:
+                return
+            seen.add(n % modulus)
+            yield n
+
 
 SequenceSpec = Union[FiniteTable, Periodic, ResiduePolynomial, GeometricSupport]
-
-
-def _support_points(spec: SequenceSpec, window: Window) -> Iterator[int]:
-    """The nonzero indices of `spec` in `window`, increasing, one at a time.
-
-    Geometric supports walk their doubling points (from scale's odd part if
-    m < 0 is allowed), default-0 tables their table; the rest scan the window.
-    """
-    candidates: Iterable[int] = window.indices()
-    if isinstance(spec, GeometricSupport):
-        d = spec.scale // (spec.scale & -spec.scale) if spec.allow_negative_m else spec.scale
-        top = max(0, window.hi - spec.shift).bit_length()
-        candidates = [(d << m) + spec.shift for m in range(top)]
-    elif isinstance(spec, FiniteTable) and spec.default == 0:
-        end = spec.anchor + len(spec.values)
-        candidates = range(max(window.lo, spec.anchor), min(window.hi + 1, end))
-    return (n for n in candidates if window.lo <= n <= window.hi and spec.value_at(n) != 0)
 
 
 def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool:
@@ -288,4 +373,4 @@ def lacunarity_witness(spec: SequenceSpec, window: Window, min_gap: int) -> bool
     """
     if min_gap < 1:
         raise ValueError("min_gap must be positive")
-    return any(b - a >= min_gap for a, b in pairwise(_support_points(spec, window)))
+    return any(b - a >= min_gap for a, b in pairwise(spec.support_points(window)))

@@ -450,6 +450,31 @@ def test_bad_command_lines_exit_1_one_line(capsys, argv):
     assert "Traceback" not in err
 
 
+# int() reads an underscore, surrounding spaces and non-ASCII digits; the command line does not
+@pytest.mark.parametrize("argv,message", [
+    (("kernel", "--window", "0:1_0"), "window bounds must be integers, got '0:1_0'"),
+    (("kernel", "--window", " 0: 10"), "window bounds must be integers, got ' 0: 10'"),
+    (("kernel", "--window", "0:10 "), "window bounds must be integers, got '0:10 '"),
+    (("kernel", "--window", "\u0660:\u0661\u0660"),
+     "window bounds must be integers, got '\u0660:\u0661\u0660'"),
+    (("certify", "--k", "1_0"), "--k must be an integer, got '1_0'"),
+    (("certify", "--k", "3", "--budget", " 2_0"), "--budget must be an integer, got ' 2_0'"),
+    (("build", "--gap=\u0663"), "--gap must be an integer, got '\u0663'"),
+])
+def test_integers_are_ascii_digits_only(capsys, vanish_r2, argv, message):
+    code, out, err = run(capsys, argv[0], "--operator", vanish_r2, *argv[1:])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+def test_signed_integers_still_read(capsys, vanish_r2):
+    for window, bounds in (("-50:50", [-50, 50]), ("+0:10", [0, 10]), ("-0:+007", [0, 7])):
+        code, out, _ = run(capsys, "kernel", "--operator", vanish_r2, "--window", window)
+        assert code == 0 and json.loads(out)["window"] == bounds
+    code, out, _ = run(capsys, "certify", "--operator", vanish_r2, "--k", "+2", "--budget", "+020")
+    cert = json.loads(out)
+    assert code == 0 and cert["k"] == 2 and cert["window"][0] == -20  # the sweep starts at -budget
+
+
 def test_the_narrowings_were_accepted_by_the_reference_parser():
     for case in NARROWED:
         REFERENCE_PARSER.parse_args(BAD_ARGV[case])

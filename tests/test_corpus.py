@@ -27,7 +27,6 @@ from lacunary.corpus import (
     zero_operator,
 )
 from lacunary.jsonio import dump_canonical, manifest_to_json
-from lacunary.sequences import _support_points
 
 
 def test_all_known_facts_hold():
@@ -59,7 +58,7 @@ def test_vanish_validation():
 def test_geometric_sequence_solves_vanish_operator(r):
     op = vanish_on_multiples_operator(r)
     x = geometric_lacunary_sequence(r)
-    pts = list(_support_points(x, Window(0, 2000)))
+    pts = list(x.support_points(Window(0, 2000)))
     assert pts
     assert all(n % (r + 1) == 1 for n in pts)
     for n in range(-10, 600):
@@ -72,7 +71,7 @@ def test_geometric_sequence_solves_vanish_operator(r):
 )
 def test_geometric_max_gap(r, budget, expected):
     x = geometric_lacunary_sequence(r)
-    pts = list(_support_points(x, Window(0, budget)))
+    pts = list(x.support_points(Window(0, budget)))
     assert max(b - a for a, b in zip(pts, pts[1:])) == expected
     assert lacunarity_witness(x, Window(0, budget), expected)
     assert not lacunarity_witness(x, Window(0, budget), expected + 1)

@@ -37,6 +37,7 @@ from lacunary.corpus import (
 from lacunary import engine as engine_mod
 from lacunary import operators as operators_mod
 from lacunary.linalg import finite_support_kernel
+from lacunary.sequences import _Sequence
 
 from . import oracles
 from .oracles import (
@@ -77,8 +78,11 @@ def test_windowed_residual_check():
     windowed_residual_check(op, broken, Window(0, 1))
 
 
-class Bounded:
-    """A sequence that fails the test once read at more than `limit` indices."""
+class Bounded(_Sequence):
+    """A sequence that fails the test once read at more than `limit` indices.
+
+    Its support walk is the default scan, so it too reads through `value_at`.
+    """
 
     def __init__(self, spec, limit):
         self.spec, self.left = spec, limit
@@ -587,6 +591,9 @@ class CountedCoefficient:
     def value_at(self, n):
         self.calls.append(n)
         return self.spec.value_at(n)
+
+    def known_period(self):
+        return self.spec.known_period()
 
 
 def test_sparse_checks_cost_linear_in_the_support(monkeypatch):

@@ -135,6 +135,29 @@ def test_no_unreferenced_public_methods_or_properties():
     assert not sorted(dead)
 
 
+KINDS = {"FiniteTable", "Periodic", "ResiduePolynomial", "GeometricSupport"}
+KIND_FIELDS = {"scale", "shift", "allow_negative_m", "per_class"}
+
+
+def test_only_sequences_dispatches_on_the_sequence_kinds():
+    """Each kind answers for itself (its period, support walk, mask points and
+    natural mask), so no other module asks `isinstance` of a kind or reads a
+    kind's own fields.  A Periodic's `period` is not checked here, since
+    `OperatorSpec.period` has the same name."""
+    ladders = []
+    for module, tree in _library_trees().items():
+        if module == "sequences":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                classes = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                if classes & KINDS:
+                    ladders.append(f"{module}.py:{node.lineno} isinstance")
+            elif isinstance(node, ast.Attribute) and node.attr in KIND_FIELDS:
+                ladders.append(f"{module}.py:{node.lineno} .{node.attr}")
+    assert not sorted(ladders)
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from lacunary import *", namespace)

@@ -462,6 +462,19 @@ def test_mask_check_is_exact_on_doubling_points():
     every_power = ResidueMask(3000, frozenset(pow(2, m, 3000) for m in range(3000)))
     assert residue_certificate(op, [every_power], ResidueMask(1, frozenset())).certified
 
+    # scale 24 = 3 * 2**3 with m < 0 allowed: the support is 3 * 2**j + 1, j >= 0.
+    # Mod 40, 3 * 2**j runs 3, 6, 12 (the m < 0 points) before its cycle 24,
+    # 8, 16, 32, so the residues 4, 7 and 13 occur once each
+    geometric = GeometricSupport(24, 1, Fraction(1), True)
+    op = OperatorSpec((geometric,))
+    residues = frozenset((3 * 2**j + 1) % 40 for j in range(40))
+    assert len(residues) == 7 and {4, 7, 13} <= residues
+    for missing in residues:
+        with pytest.raises(MaskViolation) as err:
+            residue_certificate(op, [ResidueMask(40, residues - {missing})], ResidueMask(1, frozenset()))
+        assert err.value.n % 40 == missing and geometric.value_at(err.value.n) != 0
+    assert residue_certificate(op, [ResidueMask(40, residues)], ResidueMask(1, frozenset())).certified
+
 
 @given(
     sequence_specs,

@@ -16,7 +16,7 @@ from lacunary import (
     lacunarity_witness,
 )
 from lacunary.corpus import CorpusEntry
-from lacunary.sequences import Record, _support_points
+from lacunary.sequences import Record
 
 from .strategies import sequence_specs, windows
 
@@ -65,7 +65,7 @@ def test_finite_table_eval_and_default():
 
 
 def support(spec, w):
-    return tuple(_support_points(spec, w))
+    return tuple(spec.support_points(w))
 
 
 def test_support_points_finite_table():
