@@ -301,10 +301,9 @@ class ResiduePolynomial(_Sequence, Record):
         return self.modulus if all(len(poly) == 1 for poly in self.per_class.values()) else None
 
     def mask_points(self, modulus: int) -> Iterator[int]:
-        period = math.lcm(self.modulus, modulus)
+        p, classes = math.lcm(self.modulus, modulus), self.per_class
         # a nonzero polynomial of degree d has a non-root among any d + 1 points
-        counts = [len(self.per_class.get(n % self.modulus, ())) for n in range(period)]
-        return (n + j * period for n in range(period) for j in range(counts[n]))
+        return (n + j * p for n in range(p) for j in range(len(classes.get(n % self.modulus, ()))))
 
     def natural_mask(self) -> ResidueMask:
         return ResidueMask(self.modulus, frozenset(self.per_class))

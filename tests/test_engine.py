@@ -582,8 +582,10 @@ def test_assembled_check_alone_catches_a_foreign_end_block():
             assert not verify_partial_lacunary(op, partial)
 
 
-class CountedCoefficient:
-    """A coefficient sequence that records each index it is evaluated at."""
+class CountedCoefficient(_Sequence):
+    """A coefficient sequence that records each index it is evaluated at.
+
+    It knows no period, so every distinct solution is re-checked."""
 
     def __init__(self, spec, calls):
         self.spec, self.calls = spec, calls
@@ -591,6 +593,10 @@ class CountedCoefficient:
     def value_at(self, n):
         self.calls.append(n)
         return self.spec.value_at(n)
+
+
+class PeriodicCountedCoefficient(CountedCoefficient):
+    """A counted coefficient that knows the period of the spec it wraps."""
 
     def known_period(self):
         return self.spec.known_period()
@@ -638,6 +644,16 @@ def test_sparse_checks_cost_linear_in_the_support(monkeypatch):
     assert verify_dimension_certificate(counted, cert)
     bound = k * (r + 1) * sum(1 for v in block if v)
     assert 0 < len(calls) <= bound < k * (r + 1) * len(block)
+    assert 0 < len(equations) <= bound
+
+    # with the period known, one solution per translation class is checked
+    periodic = OperatorSpec(tuple(PeriodicCountedCoefficient(a, calls) for a in op.coeffs))
+    classes = len({(s.anchor % periodic.period, s.values) for s in solutions})
+    calls.clear()
+    equations.clear()
+    assert verify_dimension_certificate(periodic, cert)
+    bound = classes * (r + 1) * sum(1 for v in block if v)
+    assert 0 < len(calls) <= bound < classes * (r + 1) * len(block)
     assert 0 < len(equations) <= bound
 
 
