@@ -7,10 +7,10 @@ from lacunary import (
     ResidueMask,
     residue_certificate,
     build_lacunary,
+    coefficient_masks,
     verify_partial_lacunary,
 )
 from lacunary.corpus import (
-    coefficient_masks,
     fibonacci_operator,
     vanish_on_multiples_operator,
 )

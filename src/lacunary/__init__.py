@@ -33,6 +33,7 @@ from .operators import (
     MaskViolation,
     OperatorSpec,
     ResidueCertificate,
+    coefficient_masks,
     first_residual,
     is_global_solution_finite,
     residual,
@@ -74,6 +75,7 @@ __all__ = [
     "as_fraction",
     "build_lacunary",
     "certify_dimension",
+    "coefficient_masks",
     "finite_support_kernel",
     "first_residual",
     "free_kernel_dim",

@@ -6,9 +6,11 @@ error, including a certificate that fails verification.  JSON output is
 canonical (sorted keys, fixed indentation, rationals as "p/q"), so two
 runs over identical inputs produce byte-identical files.  Output streams
 into the --out file or stdout, and a failed write is an error like any
-other.  Every wire format lives in jsonio, certificate kinds included, and
-every certificate check in engine; this module only dispatches on the
-engine types and reports.
+other.  Every library object's wire format lives in jsonio, certificate
+kinds included, and every certificate check in engine; this module
+dispatches on the engine types and reports, and builds only the two
+reports that hold no library object: the {"command": ...} objects of
+check and verify.
 """
 
 from __future__ import annotations
@@ -117,16 +119,23 @@ def _cmd_kernel(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, to_json(kb), text
 
 
+def _inconclusive(outcome: Inconclusive) -> tuple[int, dict, list[str]]:
+    """The reason a search stopped, and how far it got by whichever best_* it set."""
+    text = [f"inconclusive: {outcome.reason}"]
+    if outcome.best_kernel_dim is not None:
+        text.append(f"  disjoint solutions found: {outcome.best_kernel_dim}")
+    if outcome.best_gap is not None:
+        text.append(f"  largest gap reached: {outcome.best_gap}")
+    return EXIT_INCONCLUSIVE, to_json(outcome), text
+
+
 def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     op = operator_from_json(_load_json(args.operator))
     k = _positive(args.k, "k")
     budget = _positive(args.budget, "budget")
     outcome = certify_dimension(op, k, budget)
     if isinstance(outcome, Inconclusive):
-        text = [f"inconclusive: {outcome.reason}"]
-        if outcome.best_kernel_dim is not None:
-            text.append(f"  disjoint solutions found: {outcome.best_kernel_dim}")
-        return EXIT_INCONCLUSIVE, to_json(outcome), text
+        return _inconclusive(outcome)
     w = outcome.window
     text = [
         f"certificate: solution space dimension >= {outcome.k}",
@@ -154,8 +163,7 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
     budget = _positive(args.budget, "budget")
     outcome = build_lacunary(op, gap, budget)
     if isinstance(outcome, Inconclusive):
-        text = [f"inconclusive: {outcome.reason}"]
-        return EXIT_INCONCLUSIVE, to_json(outcome), text
+        return _inconclusive(outcome)
     text = [
         f"partial lacunary solution on the {outcome.ray} ray: "
         f"{len(outcome.blocks)} blocks, gap profile {list(outcome.gap_profile)}"

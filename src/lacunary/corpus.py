@@ -1,11 +1,12 @@
 """Reference operators and sequences with machine-checkable known facts.
 
-The corpus doubles as a regression suite: every entry carries facts that
-are data, not prose, and `run_known_fact` executes them against the
-library.  The star of the collection is the vanish-on-multiples family,
-an operator whose solutions are exactly the sequences vanishing on the
-multiples of r+1, which makes its solution space infinite-dimensional and
-its doubling-support companion sequence a ready-made lacunary solution.
+Every entry carries facts that are data, not prose: a KnownFact names a
+check, its arguments and its expected answer, which tests/test_corpus.py
+runs against the library and `lacunary corpus` emits.  The star of the
+collection is the vanish-on-multiples family, an operator whose solutions
+are exactly the sequences vanishing on the multiples of r+1, which makes
+its solution space infinite-dimensional and its doubling-support companion
+sequence a ready-made lacunary solution.
 """
 
 from __future__ import annotations
@@ -14,34 +15,17 @@ import random
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
-from .engine import (
-    DimensionCertificate,
-    certify_dimension,
-    split_lacunary,
-)
-from .linalg import finite_support_kernel, free_kernel_dim
-from .operators import OperatorSpec, residual, residue_certificate
-from .sequences import (
-    GeometricSupport,
-    Periodic,
-    Record,
-    ResidueMask,
-    ResiduePolynomial,
-    SequenceSpec,
-    Window,
-    lacunarity_witness,
-)
+from .operators import OperatorSpec
+from .sequences import GeometricSupport, Periodic, Record, ResiduePolynomial, SequenceSpec
 
 __all__ = [
     "CorpusEntry",
     "KnownFact",
-    "coefficient_masks",
     "entries",
     "fibonacci_operator",
     "geometric_lacunary_sequence",
     "get_entry",
     "random_residue_operator",
-    "run_known_fact",
     "vanish_on_multiples_operator",
     "zero_operator",
 ]
@@ -115,11 +99,6 @@ def random_residue_operator(r: int, modulus: int, seed: int) -> OperatorSpec:
     return OperatorSpec(tuple(coeffs))
 
 
-def coefficient_masks(op: OperatorSpec) -> list[ResidueMask]:
-    """Natural residue masks of residue-pattern and periodic coefficients."""
-    return [a.natural_mask() for a in op.coeffs]
-
-
 class KnownFact(Record):
     """One executable claim about a corpus entry."""
 
@@ -136,40 +115,6 @@ class CorpusEntry(Record):
     operator: OperatorSpec
     sequence: Optional[SequenceSpec] = None
     known_facts: tuple[KnownFact, ...] = ()
-
-
-def run_known_fact(entry: CorpusEntry, fact: KnownFact) -> tuple[bool, Any]:
-    """Execute one known fact; returns (holds, actual value)."""
-    op = entry.operator
-    args = fact.args
-    if fact.check == "finite_support_kernel_dim":
-        lo, hi = args["window"]
-        actual: Any = finite_support_kernel(op, Window(lo, hi)).dimension
-    elif fact.check == "free_kernel_dim":
-        lo, hi = args["window"]
-        actual = free_kernel_dim(op, Window(lo, hi))
-    elif fact.check == "certify_dimension":
-        outcome = certify_dimension(op, args["k"], args["budget"])
-        actual = (
-            "certificate" if isinstance(outcome, DimensionCertificate) else "inconclusive"
-        )
-    elif fact.check == "lacunarity_witness":
-        lo, hi = args["window"]
-        actual = lacunarity_witness(entry.sequence, Window(lo, hi), args["min_gap"])
-    elif fact.check == "residuals_vanish":
-        lo, hi = args["range"]
-        actual = all(residual(op, entry.sequence, n) == 0 for n in range(lo, hi + 1))
-    elif fact.check == "split_pieces":
-        lo, hi = args["window"]
-        pieces = split_lacunary(op, entry.sequence, Window(lo, hi))
-        actual = [sorted(p.support_set()) for p in pieces]
-    elif fact.check == "residue_certified":
-        sol_mask = ResidueMask(args["modulus"], frozenset(args["residues"]))
-        cert = residue_certificate(op, coefficient_masks(op), sol_mask)
-        actual = cert.certified
-    else:
-        raise ValueError(f"unknown check kind: {fact.check!r}")
-    return actual == fact.expected, actual
 
 
 def _vanish_entry(r: int, extra: Sequence[KnownFact]) -> CorpusEntry:

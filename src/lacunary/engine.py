@@ -62,6 +62,7 @@ class Inconclusive(Record):
     """Budget exhausted without a witness; not a negative answer.
 
     best_kernel_dim: the disjoint solutions certify found (a bound dim >= it).
+    best_gap: the largest gap build reached, if it placed two blocks.
     """
 
     reason: str

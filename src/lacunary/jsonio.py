@@ -1,15 +1,16 @@
-"""Canonical JSON forms for every object that crosses the tool boundary.
+"""Canonical JSON forms for every library object crossing the tool boundary.
 
-Every wire format lives here, certificates and the corpus manifest
-included: the command line calls these readers and writers and holds no
-format of its own.  A tagged kind (a sequence spec, a certificate or an
-outcome) is an object of its Record fields and a "kind" tag: to_json
-writes every kind, and _record_from_json reads one through one reader
-per field name, so a kind's keys are listed once, as its fields.  Certificates
-have one reader, certificate_from_json, which returns the kind with the
-object, so the kind strings live here only.  A missing key, or an unknown
-key in any object but a finite solution (read thousands of times per
-certificate), names the object and the key.
+Every library object's wire format lives here, certificates and the
+corpus manifest included: the command line calls these readers and
+writers, and builds only the {"command": ...} reports of check and
+verify, which hold no library object.  A tagged kind (a sequence spec, a
+certificate or an outcome) is an object of its Record fields and a
+"kind" tag: to_json writes every kind, and _record_from_json reads one
+through one reader per field name, so a kind's keys are listed once, as
+its fields.  Certificates have one reader, certificate_from_json, which
+returns the kind with the object, so the kind strings live here only.  A
+missing key, or an unknown key in any object but a finite solution (read
+thousands of times per certificate), names the object and the key.
 A certificate's finite solutions share the parsed and checked table of
 each distinct values list of strings: reading costs one parse per distinct
 table and a lookup per solution, and the first bad solution is still the

@@ -14,7 +14,8 @@ check (once per translation class: the one re-check that kernel, split
 and verify share), builds the linear system that a window of unknowns
 must satisfy as band rows (each equation touches at most r + 1
 consecutive unknowns, so it is stored as its first column and those
-entries), and issues residue-class disjointness certificates.
+entries), and issues residue-class disjointness certificates on the
+coefficient masks that coefficient_masks reads off the coefficients.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "MaskViolation",
     "OperatorSpec",
     "ResidueCertificate",
+    "coefficient_masks",
     "first_residual",
     "is_global_solution_finite",
     "residual",
@@ -241,6 +243,11 @@ class ResidueCertificate(Record):
     certified: bool
     modulus: int
     conflicts: tuple[tuple[int, int, int], ...]
+
+
+def coefficient_masks(op: OperatorSpec) -> list[ResidueMask]:
+    """The coefficients' natural residue masks: residue_certificate's input."""
+    return [a.natural_mask() for a in op.coeffs]
 
 
 def residue_certificate(

@@ -14,6 +14,7 @@ from lacunary import (
     Window,
     build_lacunary,
     certify_dimension,
+    coefficient_masks,
     finite_support_kernel,
     free_kernel_dim,
     is_global_solution_finite,
@@ -25,7 +26,6 @@ from lacunary import (
 )
 from lacunary.cli import main as cli_main
 from lacunary.corpus import (
-    coefficient_masks,
     fibonacci_operator,
     geometric_lacunary_sequence,
     random_residue_operator,

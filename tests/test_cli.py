@@ -260,6 +260,24 @@ def test_build_inconclusive_exit_2(capsys, fibonacci):
     assert json.loads(out)["kind"] == "inconclusive"
 
 
+def test_inconclusive_text_says_how_far_the_search_got(capsys, vanish_r2, fibonacci):
+    code, out, err = run(
+        capsys, "build", "--operator", vanish_r2, "--gap", "4096", "--budget", "200",
+        "--format", "text",
+    )
+    assert code == 2
+    assert out == (
+        "inconclusive: no gap of 4096 reached within budget 200 on either ray\n"
+        "  largest gap reached: 96\n"
+    )
+    code, out, err = run(
+        capsys, "certify", "--operator", fibonacci, "--k", "1", "--budget", "100",
+        "--format", "text",
+    )
+    assert code == 2
+    assert out.splitlines()[1:] == ["  disjoint solutions found: 0"]
+
+
 def test_verify_zero_kernel_vector_exit_1(capsys, vanish_r2, tmp_path):
     basis = tmp_path / "basis_zero.json"
     basis.write_text(json.dumps({"window": [0, 2], "vectors": [["0/1", "0/1", "0/1"]]}))

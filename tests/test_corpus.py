@@ -7,33 +7,80 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacunary import (
+    DimensionCertificate,
     OperatorSpec,
     Periodic,
+    ResidueMask,
     ResiduePolynomial,
     Window,
+    certify_dimension,
+    coefficient_masks,
     finite_support_kernel,
+    free_kernel_dim,
     lacunarity_witness,
     residual,
+    residue_certificate,
+    split_lacunary,
 )
 from lacunary.corpus import (
-    coefficient_masks,
     entries,
     fibonacci_operator,
     geometric_lacunary_sequence,
     get_entry,
     random_residue_operator,
-    run_known_fact,
     vanish_on_multiples_operator,
     zero_operator,
 )
 from lacunary.jsonio import dump_canonical, manifest_to_json
 
 
+def _window(args) -> Window:
+    return Window(*args["window"])
+
+
+def _certify(entry, args) -> str:
+    outcome = certify_dimension(entry.operator, args["k"], args["budget"])
+    return "certificate" if isinstance(outcome, DimensionCertificate) else "inconclusive"
+
+
+def _residuals_vanish(entry, args) -> bool:
+    lo, hi = args["range"]
+    return all(residual(entry.operator, entry.sequence, n) == 0 for n in range(lo, hi + 1))
+
+
+def _split_pieces(entry, args) -> list[list[int]]:
+    pieces = split_lacunary(entry.operator, entry.sequence, _window(args))
+    return [sorted(p.support_set()) for p in pieces]
+
+
+def _residue_certified(entry, args) -> bool:
+    op, sol_mask = entry.operator, ResidueMask(args["modulus"], frozenset(args["residues"]))
+    return residue_certificate(op, coefficient_masks(op), sol_mask).certified
+
+
+# What each KnownFact.check computes from its entry and args: the corpus holds
+# the facts as data, and these run them.  A fact holds when the value equals
+# its `expected`.
+_CHECKS = {
+    "finite_support_kernel_dim": lambda e, a: finite_support_kernel(e.operator, _window(a)).dimension,
+    "free_kernel_dim": lambda e, a: free_kernel_dim(e.operator, _window(a)),
+    "certify_dimension": _certify,
+    "lacunarity_witness": lambda e, a: lacunarity_witness(e.sequence, _window(a), a["min_gap"]),
+    "residuals_vanish": _residuals_vanish,
+    "split_pieces": _split_pieces,
+    "residue_certified": _residue_certified,
+}
+
+
 def test_all_known_facts_hold():
     for entry in entries():
         for fact in entry.known_facts:
-            holds, actual = run_known_fact(entry, fact)
-            assert holds, f"{entry.name}: {fact.check} {fact.args} -> {actual!r}"
+            actual = _CHECKS[fact.check](entry, fact.args)
+            assert actual == fact.expected, f"{entry.name}: {fact.check} {fact.args} -> {actual!r}"
+
+
+def test_the_facts_name_exactly_the_checks_run():
+    assert {fact.check for entry in entries() for fact in entry.known_facts} == set(_CHECKS)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -148,14 +195,6 @@ def test_coefficient_masks_periodic_and_rejection():
 def test_get_entry_unknown_name():
     with pytest.raises(KeyError):
         get_entry("no_such_entry")
-
-
-def test_run_known_fact_unknown_check():
-    entry = get_entry("fibonacci")
-    fact = entry.known_facts[0]
-    bogus = type(fact)("not_a_check", (), None)
-    with pytest.raises(ValueError):
-        run_known_fact(entry, bogus)
 
 
 def test_manifest_is_json_ready():

@@ -135,6 +135,55 @@ def test_no_unreferenced_public_methods_or_properties():
     assert not sorted(dead)
 
 
+def _referred(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree loads, reads as an attribute or imports."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names |= {a.name for a in n.names}
+    return names
+
+
+def test_no_unreferenced_public_functions_or_classes():
+    """A public function or class that no library module but `__init__` refers
+    to, that the package does not export and that the bench does not import
+    serves only tests and demos, so it does not belong in the library: the
+    runner of the corpus facts lives in tests/test_corpus.py instead.  A
+    definition's references to itself do not count."""
+    trees = _library_trees()
+    init = trees.pop("__init__")
+    exported = _exported(init)
+    bench = _bench_imports()
+    refs = {module: _referred(tree) for module, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(r for m, r in refs.items() if m != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = node.name
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            used = name in elsewhere or name in _referred(rest)
+            if not used and name not in exported and (f"lacunary.{module}", name) not in bench:
+                dead.append(f"{module}.{name}")
+    assert not sorted(dead)
+
+
+def test_corpus_imports_only_operators_and_sequences():
+    """The corpus is data, operator builders and their known facts: it imports
+    no engine, linear algebra or wire format, and tests/test_corpus.py runs the
+    facts."""
+    imported = set()
+    for node in ast.walk(_library_trees()["corpus"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert imported <= {"operators", "sequences"}
+
+
 KINDS = {"FiniteTable", "Periodic", "ResiduePolynomial", "GeometricSupport"}
 KIND_FIELDS = {"scale", "shift", "allow_negative_m", "per_class"}
 
@@ -199,7 +248,8 @@ def test_cli_import_skips_dataclasses_and_corpus():
 BENCH_IMPORT = re.compile(r"from\s+(lacunary(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]+)")
 
 
-def test_every_name_the_bench_imports_resolves():
+def _bench_imports() -> set[tuple[str, str]]:
+    """Each (module, name) that a `from lacunary... import name` in bench/ names."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     found = set()
     for path in sorted(bench.glob("*.py")):
@@ -207,6 +257,11 @@ def test_every_name_the_bench_imports_resolves():
             for name in names.strip("()").split(","):
                 if name.strip():
                     found.add((module, name.split(" as ")[0].strip()))
+    return found
+
+
+def test_every_name_the_bench_imports_resolves():
+    found = _bench_imports()
     assert ("lacunary.jsonio", "operator_to_json") in found
     missing = [
         f"{module}.{name}"

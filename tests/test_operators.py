@@ -17,6 +17,7 @@ from lacunary import (
     ResiduePolynomial,
     VerificationFailure,
     Window,
+    coefficient_masks,
     finite_support_kernel,
     is_global_solution_finite,
     residual,
@@ -28,7 +29,6 @@ from lacunary import engine as engine_mod
 from lacunary import linalg as linalg_mod
 from lacunary import operators as operators_mod
 from lacunary.corpus import (
-    coefficient_masks,
     fibonacci_operator,
     geometric_lacunary_sequence,
     vanish_on_multiples_operator,
