@@ -296,6 +296,10 @@ def _close_broken_stdout() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # exact answers write and read integers of any length; from 3.10.7 on,
+    # Python refuses int <-> str conversions past 4300 digits by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         code = EXIT_OK

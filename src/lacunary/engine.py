@@ -362,9 +362,15 @@ def verify_partial_lacunary(op: OperatorSpec, partial: PartialLacunarySolution) 
 
 
 def verify_kernel_basis(op: OperatorSpec, basis: KernelBasis) -> bool:
-    """Re-check a kernel basis: genuine solutions, linearly independent."""
-    if _first_non_solution(op, basis.solutions) is not None:
+    """Re-check a kernel basis: genuine solutions, linearly independent.
+
+    Only the columns the solutions reach are ranked: the others add no rank.
+    """
+    solutions = basis.solutions
+    if _first_non_solution(op, solutions) is not None:
         return False
-    w = basis.window
-    pivots = _eliminate([(s.anchor - w.lo, s.values) for s in basis.solutions], w.size)
-    return len(pivots) == basis.dimension
+    if not solutions:
+        return True
+    lo = min(s.anchor for s in solutions)
+    ncols = max(s.max_support for s in solutions) - lo + 1
+    return len(_eliminate([(s.anchor - lo, s.values) for s in solutions], ncols)) == len(solutions)

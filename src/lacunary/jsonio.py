@@ -28,7 +28,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO, get_args
 
 from .engine import (
     DimensionCertificate,
@@ -271,7 +271,7 @@ def sequence_from_json(data: Any) -> SequenceSpec:
     if not isinstance(data, dict):
         raise ValueError(f"sequence spec must be a JSON object, got {data!r}")
     kind = data.get("kind")  # compared, never looked up: it may be any JSON value
-    for cls in (FiniteTable, Periodic, ResiduePolynomial, GeometricSupport):
+    for cls in get_args(SequenceSpec):
         if kind == _KINDS[cls]:
             return _record_from_json(cls, data, kind)
     raise ValueError(f"unknown sequence kind: {kind!r}")
@@ -360,10 +360,9 @@ def certificate_from_json(data: Any) -> tuple[str, Any]:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     kind = data.get("kind")  # compared, never looked up: it may be any JSON value
-    if kind == "dimension_certificate":
-        return kind, _record_from_json(DimensionCertificate, data, kind)
-    if kind == "partial_lacunary":
-        return kind, _record_from_json(PartialLacunarySolution, data, kind)
+    for cls in (DimensionCertificate, PartialLacunarySolution):
+        if kind == _KINDS[cls]:
+            return kind, _record_from_json(cls, data, kind)
     if kind == "split_result":
         return kind, _split_result_from_json(data)
     if kind is not None:

@@ -1,6 +1,7 @@
 """The three witness procedures: certify, split, build, and their audits."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -490,6 +491,27 @@ def test_verify_kernel_basis():
     kb = finite_support_kernel(op, Window(0, 8))
     assert verify_kernel_basis(op, kb)
     assert not verify_kernel_basis(fibonacci_operator(), kb)
+
+
+def test_verify_kernel_basis_costs_its_solutions_not_its_window():
+    """Columns no solution reaches add no rank: one short solution in a
+    window of a million columns is ranked over its own span, not the
+    window's (about 64 MB of Python allocations when the window was ranked)."""
+    op = vanish_on_multiples_operator(2)
+    solution = finite_support_kernel(op, Window(0, 8)).solutions[0]
+    wide = KernelBasis(Window(0, 10**6), (solution,))
+    tracemalloc.start()
+    try:
+        assert verify_kernel_basis(op, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert verify_kernel_basis(op, KernelBasis(Window(0, 10**6), ()))
+    # ranked from the least anchor: a translate is independent, a repeat is not
+    shifted = FiniteSolution(solution.anchor + 3 * 10**5, solution.values)
+    assert verify_kernel_basis(op, KernelBasis(Window(0, 10**6), (solution, shifted)))
+    assert not verify_kernel_basis(op, KernelBasis(Window(0, 10**6), (shifted, shifted)))
 
 
 @settings(max_examples=20, deadline=None)

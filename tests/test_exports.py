@@ -31,7 +31,8 @@ def _imported(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Import):
             names |= {a.asname or a.name.partition(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names |= {a.asname or a.name for a in node.names}
+            # `import *` binds only the names its module exports
+            names |= {a.asname or a.name for a in node.names if a.name != "*"}
     return names
 
 
@@ -47,12 +48,10 @@ def _used(tree: ast.Module) -> set[str]:
     return {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
-        if targets == ["__all__"]:
-            return set(ast.literal_eval(node.value))
-    return set()
+def _exported(path: Path) -> set[str]:
+    """What the module at path exports, read from the module itself."""
+    name = "lacunary" if path.stem == "__init__" else f"lacunary.{path.stem}"
+    return set(importlib.import_module(name).__all__)
 
 
 SOURCES = sorted(Path(lacunary.__file__).parent.glob("*.py"))
@@ -61,7 +60,7 @@ SOURCES = sorted(Path(lacunary.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert not sorted(_imported(tree) - _used(tree) - _exported(tree))
+    assert not sorted(_imported(tree) - _used(tree) - _exported(path))
 
 
 # json.dumps builds the whole text before it is written: seven times the size
@@ -155,8 +154,8 @@ def test_no_unreferenced_public_functions_or_classes():
     runner of the corpus facts lives in tests/test_corpus.py instead.  A
     definition's references to itself do not count."""
     trees = _library_trees()
-    init = trees.pop("__init__")
-    exported = _exported(init)
+    del trees["__init__"]
+    exported = set(lacunary.__all__)
     bench = _bench_imports()
     refs = {module: _referred(tree) for module, tree in trees.items()}
     dead = []
@@ -171,6 +170,17 @@ def test_no_unreferenced_public_functions_or_classes():
             if not used and name not in exported and (f"lacunary.{module}", name) not in bench:
                 dead.append(f"{module}.{name}")
     assert not sorted(dead)
+
+
+LAYERS = ("engine", "linalg", "operators", "sequences")
+
+
+def test_package_exports_what_the_layer_modules_export():
+    """Each public name is listed once, in its layer module's __all__, and the
+    package exports exactly those lists, so the two cannot drift apart."""
+    layers = [name for m in LAYERS for name in importlib.import_module(f"lacunary.{m}").__all__]
+    assert len(set(layers)) == len(layers)
+    assert sorted(lacunary.__all__) == sorted(layers)
 
 
 def test_corpus_imports_only_operators_and_sequences():
