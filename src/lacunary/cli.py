@@ -306,7 +306,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args is not None:
             code, payload, text_lines = _COMMANDS[args.command][0](args)
             # opened only now, so a failed command leaves no file behind
-            out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+            out = (
+                nullcontext(sys.stdout) if args.out is None
+                else open(args.out, "w", encoding="utf-8")
+            )
             with out as fh:
                 if args.format == "json":
                     dump_canonical(payload, fh)

@@ -102,7 +102,10 @@ class DimensionCertificate(Record):
             starts.setdefault(id(values), [values]).append(anchor)
         points: list[int] = []
         for table, *at in starts.values():
-            points += chain.from_iterable(map(i.__add__, at) for i, v in enumerate(table) if v)
+            points += at  # a table starts nonzero: its anchors are its offset-0 points
+            points += chain.from_iterable(
+                map(i.__add__, at) for i, v in enumerate(islice(table, 1, None), 1) if v
+            )
         points.sort()
         if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("solution supports are not pairwise disjoint")

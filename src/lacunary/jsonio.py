@@ -9,8 +9,8 @@ certificate or an outcome) is an object of its Record fields and a
 through one reader per field name, so a kind's keys are listed once, as
 its fields.  Certificates have one reader, certificate_from_json, which
 returns the kind with the object, so the kind strings live here only.  A
-missing key, or an unknown key in any object but a finite solution (read
-thousands of times per certificate), names the object and the key.
+missing or an unknown key in any object, a finite solution included,
+names the object and the key.
 A certificate's finite solutions share the parsed and checked table of
 each distinct values list of strings: reading costs one parse per distinct
 table and a lookup per solution, and the first bad solution is still the
@@ -202,17 +202,18 @@ def _per_class(data: Any, modulus: int) -> dict[int, tuple[Fraction, ...]]:
 def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
     """A list of finite solutions; each distinct values list is parsed and checked once.
 
-    An object with an int anchor and a values list already read takes that
-    checked table; any other item is read in full, so the first bad one is
-    still reported.  Only lists of strings are stored (no other JSON value
-    equals a string), so `[true]` after `[1]` is read entry by entry.
+    An object of exactly an int anchor and a values list already read takes
+    that checked table; any other item is read in full, so the first bad one
+    (an unknown key included) is still reported.  Only lists of strings are
+    stored (no other JSON value equals a string), so `[true]` after `[1]` is
+    read entry by entry.
     """
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list, got {data!r}")
     tables: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     solutions = []
     for item in data:
-        if type(item) is dict and type(raw := item.get("values")) is list:
+        if type(item) is dict and len(item) == 2 and type(raw := item.get("values")) is list:
             try:
                 values = tables.get(tuple(raw))
             except TypeError:  # an unhashable entry
@@ -222,6 +223,7 @@ def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
                 continue
         if not isinstance(item, dict):
             raise ValueError("finite solution JSON must be an object")
+        _only_keys(item, FiniteSolution._fields, "finite solution")
         anchor = _int(_key(item, "anchor", "finite solution"), "anchor")
         raw = _key(item, "values", "finite solution")
         solutions.append(FiniteSolution(anchor, _list(raw, "values", parse_rational)))

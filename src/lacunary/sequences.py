@@ -19,7 +19,10 @@ floats are rejected so that every downstream computation stays exact.
 
 Every value type of the library is a :class:`Record`, not a frozen
 dataclass: each ``lacunary`` command is a fresh process, and importing
-`dataclasses` and generating its methods took a third of start-up.
+`dataclasses` and generating its methods took a third of start-up.  A
+Record keeps its fields in an instance dict unless its class names them
+in ``__slots__``, as only `FiniteSolution`, built once per solution a
+certificate holds, does.
 """
 
 from __future__ import annotations
@@ -76,13 +79,21 @@ class Record:
     field itself: `FiniteSolution` does, because certificates and the block
     search build it thousands of times per command, and the generic binding
     of arguments was most of that cost.  Equality, hashing, ``repr`` and
-    frozenness come from the fields either way.
+    frozenness come from the fields either way.  Record itself has no
+    instance dict, so a subclass that names its fields in ``__slots__``
+    has none either.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        own = vars(cls)
+        slots = own.get("__slots__", ())  # a slot's descriptor is not a default
+        cls._defaults = {
+            name: own[name] for name in cls._fields if name in own and name not in slots
+        }
         cls._values = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:

@@ -563,6 +563,13 @@ def test_unopenable_out_exits_1_one_line(capsys, fibonacci, tmp_path, out, code)
     assert result == (1, "", f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
 
 
+def test_empty_out_is_an_error_not_stdout(capsys, fibonacci):
+    # an unset variable in a scripted --out "$OUT" must not dump the output
+    for argv in (("--out=",), ("--out", "")):
+        result = run(capsys, "kernel", "--operator", fibonacci, "--window", "0:2", *argv)
+        assert result == (1, "", "error: [Errno 2] No such file or directory: ''\n")
+
+
 # a small output fails at the closing flush, a large one during the dump
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 @pytest.mark.parametrize("window", ["0:4", "0:300"])
@@ -737,6 +744,19 @@ UNKNOWN_KEYS = [
         [("ordr", 0), ("defualt", "1/1"), ("ofset", 1), ("per_classes", {}),
          ("allow_negativ_m", True)] + [("zzz", 1)] * 4,
         strict=True,
+    )
+] + [
+    # in each list of finite solutions: on the first, read in full, and on a
+    # later one whose table repeats an earlier one's, read through that table
+    ("verify", "certificate", "finite solution", {**head, field: pieces}, "zzz")
+    for field, head in (
+        ("solutions", {"kind": "dimension_certificate", "k": 2, "window": [0, 10]}),
+        ("blocks", {"kind": "partial_lacunary", "ray": "positive", "gap_profile": [3]}),
+        ("pieces", {"kind": "split_result", "window": [0, 10]}),
+    )
+    for pieces in (
+        [{**ONE_POINT, "zzz": 1}, {"anchor": 4, "values": ["1/1"]}],
+        [ONE_POINT, {"anchor": 4, "values": ["1/1"], "zzz": 1}],
     )
 ]
 

@@ -1,5 +1,6 @@
 """The three witness procedures: certify, split, build, and their audits."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -37,6 +38,7 @@ from lacunary.corpus import (
 )
 from lacunary import engine as engine_mod
 from lacunary import operators as operators_mod
+from lacunary.jsonio import certificate_from_json
 from lacunary.linalg import finite_support_kernel
 from lacunary.sequences import _Sequence
 
@@ -512,6 +514,28 @@ def test_verify_kernel_basis_costs_its_solutions_not_its_window():
     shifted = FiniteSolution(solution.anchor + 3 * 10**5, solution.values)
     assert verify_kernel_basis(op, KernelBasis(Window(0, 10**6), (solution, shifted)))
     assert not verify_kernel_basis(op, KernelBasis(Window(0, 10**6), (shifted, shifted)))
+
+
+def test_verify_dimension_certificate_costs_little_beyond_its_json():
+    """Reading and verifying a parsed certificate of unit solutions allocates
+    a slotted FiniteSolution and a few pointers per solution, and no new int
+    in the disjointness scan (153 bytes per solution with an instance dict
+    and an offset-0 int per support point, 82 without)."""
+    n = 20_000
+    free = [i for i in range(1, 3 * n) if i % 3][:n]  # vanish_on_multiples_r2 leaves these free
+    data = json.loads(json.dumps({
+        "kind": "dimension_certificate", "k": n, "window": [0, free[-1] + 1],
+        "solutions": [{"anchor": i, "values": ["1/1"]} for i in free],
+    }))
+    op = vanish_on_multiples_operator(2)
+    tracemalloc.start()
+    try:
+        kind, cert = certificate_from_json(data)
+        assert kind == "dimension_certificate" and verify_dimension_certificate(op, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,6 +10,7 @@ from lacunary import (
     FiniteSolution,
     FiniteTable,
     GeometricSupport,
+    Inconclusive,
     MaskViolation,
     OperatorSpec,
     Periodic,
@@ -203,6 +204,23 @@ def test_finite_solution_keeps_the_record_contract():
     for args, kwargs in (((0,), {}), ((0, (1,), 2), {}), ((0,), {"vals": (1,)})):
         with pytest.raises(TypeError):
             FiniteSolution(*args, **kwargs)
+
+
+def test_finite_solution_is_slotted_and_still_frozen():
+    # one is built per solution a certificate holds; without `Record.__slots__`
+    # every instance would silently get its dict back.  That assigning and
+    # deleting fields still fail is in test_finite_solution_keeps_the_record_contract.
+    x = FiniteSolution(2, (Fraction(1), 0, Fraction(3, 4)))
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(x, "extra", 1)  # no dict to hold it
+    assert x == FiniteSolution._trusted(2, x.values) and hash(x) == hash((2, x.values))
+    # the slot descriptors are not defaults; the Records with defaults keep theirs
+    assert FiniteSolution._defaults == {}
+    assert Inconclusive._defaults == {"best_kernel_dim": None, "best_gap": None}
+    assert GeometricSupport._defaults == {
+        "shift": 0, "value": Fraction(1), "allow_negative_m": False,
+    }
 
 
 def test_operator_period():
