@@ -7,15 +7,14 @@ canonical (sorted keys, fixed indentation, rationals as "p/q"), so two
 runs over identical inputs produce byte-identical files.  Output streams
 into the --out file or stdout, and a failed write is an error like any
 other.  Every library object's wire format lives in jsonio, certificate
-kinds included, and every certificate check in engine; this module
-dispatches on the engine types and reports, and builds only the two
-reports that hold no library object: the {"command": ...} objects of
-check and verify.
+kinds and the file loaders included, and every certificate check in
+engine; this module dispatches on the engine types and reports, and
+builds only the two reports that hold no library object: the
+{"command": ...} objects of check and verify.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from contextlib import nullcontext, suppress
@@ -35,7 +34,8 @@ from .engine import (
     windowed_residual_check,
 )
 from .jsonio import (
-    certificate_from_json,
+    _load_certificate,
+    _load_json,
     dump_canonical,
     manifest_to_json,
     operator_from_json,
@@ -67,28 +67,6 @@ def _parse_window(text: str) -> Window:
     if not all(map(_INTEGER.fullmatch, parts)):
         raise UsageError(f"window bounds must be integers, got {text!r}")
     return Window(int(parts[0]), int(parts[1]))
-
-
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    # json's default keeps the last of two equal keys, silently dropping one
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValueError(f"duplicate key {key!r} in a JSON object")
-            seen.add(key)
-    return obj
-
-
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _positive(value: int, name: str) -> int:
@@ -173,7 +151,7 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     op = operator_from_json(_load_json(args.operator))
-    kind, cert = certificate_from_json(_load_json(args.certificate))
+    kind, cert = _load_certificate(args.certificate)
     # each verifier called by its module-level name, which bench/shim.py rebinds
     if isinstance(cert, PartialLacunarySolution):
         valid = verify_partial_lacunary(op, cert)

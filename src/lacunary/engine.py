@@ -27,7 +27,7 @@ finite-dimensional; these are semi-algorithms by nature.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from operator import eq
 from typing import Iterator, Optional, Union
 
@@ -92,20 +92,20 @@ class DimensionCertificate(Record):
             raise ValueError("certificate must contain exactly k solutions")
         # one sorted list of every support point: disjoint iff no point repeats
         lo, hi = self.window.lo, self.window.hi
-        starts: dict[int, list] = {}  # id of a table -> [the table, its anchors...]
+        offsets: dict[int, list[int]] = {}  # id of a table -> its nonzero offsets past 0
+        points: list[int] = []
         leaves = False
         for s in self.solutions:
             anchor, values = s.anchor, s.values
             if anchor < lo or anchor + len(values) - 1 > hi:
                 leaves = True
                 break  # an overlap among the solutions before it is reported first
-            starts.setdefault(id(values), [values]).append(anchor)
-        points: list[int] = []
-        for table, *at in starts.values():
-            points += at  # a table starts nonzero: its anchors are its offset-0 points
-            points += chain.from_iterable(
-                map(i.__add__, at) for i, v in enumerate(islice(table, 1, None), 1) if v
-            )
+            points.append(anchor)  # a table starts nonzero: its anchor is a support point
+            if (at := offsets.get(id(values))) is None:
+                at = [i for i, v in enumerate(islice(values, 1, None), 1) if v]
+                offsets[id(values)] = at
+            if at:
+                points += map(anchor.__add__, at)
         points.sort()
         if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("solution supports are not pairwise disjoint")

@@ -20,7 +20,7 @@ from lacunary.corpus import (
     geometric_lacunary_sequence,
     vanish_on_multiples_operator,
 )
-from lacunary.jsonio import dump_canonical, operator_to_json, to_json
+from lacunary.jsonio import certificate_from_json, dump_canonical, operator_to_json, to_json
 from lacunary.operators import OperatorSpec
 from lacunary.sequences import FiniteTable
 
@@ -770,6 +770,91 @@ def test_unknown_spec_or_operator_key_exit_1(command, role, name, data, key):
     assert code == 1
     assert out == ""
     assert err == f"error: {name} has unknown key {key!r}\n"
+
+
+def _dimension(*solutions, **extra):
+    return {
+        "kind": "dimension_certificate", "k": len(solutions), "window": [0, 30],
+        "solutions": list(solutions), **extra,
+    }
+
+
+def _partial(**fields):
+    return {
+        "kind": "partial_lacunary", "ray": "positive", "blocks": [ONE_POINT, ONE_POINT],
+        "gap_profile": [3], **fields,
+    }
+
+
+# Malformed certificates, as text, and the error line `verify` gives: that of
+# certificate_from_json(json.loads(text)) where the message is None.  The
+# certificate loader decodes finite solutions while it parses, so each case
+# puts a bad solution after a good one, or a solution object where none is read.
+CERTIFICATE_ERRORS = {
+    "bad rational in the 2nd solution": (
+        _dimension(ONE_POINT, {"anchor": 4, "values": ["1/1", "1/x"]}), None),
+    "untrimmed table": (_dimension(ONE_POINT, {"anchor": 4, "values": ["1/1", "0/1"]}), None),
+    "empty table": (_dimension(ONE_POINT, {"anchor": 4, "values": []}), None),
+    "bool anchor": (_dimension(ONE_POINT, {"anchor": True, "values": ["1/1"]}), None),
+    "[true] after [1]": (
+        _dimension({"anchor": 1, "values": [1]}, {"anchor": 4, "values": [True]}), None),
+    "unknown key in a solution": (
+        _dimension(ONE_POINT, {"anchor": 4, "values": ["1/1"], "zzz": 1}), None),
+    "duplicate key in a solution": (
+        '{"kind": "dimension_certificate", "k": 2, "window": [0, 30], "solutions": '
+        '[{"anchor": 1, "values": ["1/1"]}, {"anchor": 4, "anchor": 4, "values": ["1/1"]}]}',
+        "duplicate key 'anchor' in a JSON object"),
+    "unknown top-level key beside a bad solution": (
+        _dimension(ONE_POINT, {"anchor": 4, "values": ["x"]}, zzz=1), None),
+    "overlapping solutions": (_dimension(ONE_POINT, ONE_POINT), None),
+    "a solution as the certificate": (ONE_POINT, None),
+    "a solution as the kind": (_dimension(ONE_POINT, kind=ONE_POINT), None),
+    "a solution as k": (_dimension(ONE_POINT, k=ONE_POINT), None),
+    "a solution as the window": (_dimension(ONE_POINT, window=ONE_POINT), None),
+    "a solution as a window bound": (_dimension(ONE_POINT, window=[ONE_POINT, 30]), None),
+    "a solution as a value": (_dimension({"anchor": 1, "values": [ONE_POINT]}), None),
+    "a solution as the ray": (_partial(ray=ONE_POINT), None),
+    "a solution as a gap": (_partial(gap_profile=[ONE_POINT]), None),
+    "a solution as a kernel vector": ({"window": [1, 1], "vectors": [ONE_POINT]}, None),
+    "a solution as a kernel entry": ({"window": [1, 1], "vectors": [[ONE_POINT]]}, None),
+}
+
+
+@pytest.mark.parametrize(
+    "data, message", CERTIFICATE_ERRORS.values(), ids=list(CERTIFICATE_ERRORS),
+)
+def test_verify_reports_what_reading_the_plain_json_raises(
+    capsys, tmp_path, vanish_r2, data, message,
+):
+    text = data if isinstance(data, str) else json.dumps(data)
+    if message is None:
+        with pytest.raises(ValueError) as caught:
+            certificate_from_json(json.loads(text))
+        message = str(caught.value)
+    path = tmp_path / "certificate.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--operator", vanish_r2, "--certificate", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_operator_and_sequence_files_keep_solution_objects_as_dicts(capsys, tmp_path, vanish_r2):
+    cases = [
+        ("sequence", ONE_POINT, "unknown sequence kind: None"),
+        ("sequence", {"kind": "finite_table", "anchor": 0, "values": [ONE_POINT]},
+         "expected a rational string 'p/q', got {'anchor': 1, 'values': ['1/1']}"),
+        ("operator", {"coeffs": ONE_POINT},
+         "coeffs must be a list, got {'anchor': 1, 'values': ['1/1']}"),
+        ("operator", {"coeffs": [ONE_POINT]}, "unknown sequence kind: None"),
+    ]
+    for role, data, message in cases:
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(data))
+        files = {"operator": vanish_r2, "sequence": vanish_r2, role: str(path)}
+        code, out, err = run(
+            capsys, "check", "--operator", files["operator"], "--sequence", files["sequence"],
+            "--window", "0:4",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 VALID = {

@@ -73,6 +73,19 @@ def test_outputs_stream_through_dump_canonical(path):
     assert not BUILT_TEXT.findall(path.read_text(encoding="utf-8"))
 
 
+# json.load builds a tree of dicts before anything reads it: every file is
+# read through jsonio's loaders, whose certificate loader decodes finite
+# solutions while the file is parsed
+PARSED_TREE = re.compile(r"\bjson\.loads?\b|\bimport\b[^\n]*\bloads?\b")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.stem != "jsonio"], ids=lambda p: p.stem,
+)
+def test_inputs_are_read_through_jsonio(path):
+    assert not PARSED_TREE.findall(path.read_text(encoding="utf-8"))
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -264,12 +267,104 @@ def test_partial_lacunary_round_trip():
     assert certificate_from_json(data) == ("partial_lacunary", out)
 
 
+def load_text(text):
+    """jsonio._load_certificate of a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "certificate.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return jsonio._load_certificate(path)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(dimension_certificates(), partial_lacunary_solutions()))
-def test_certificate_round_trip_property(cert):
+@given(st.one_of(dimension_certificates(), partial_lacunary_solutions()), st.booleans())
+def test_certificate_round_trip_property(cert, as_split):
     data = to_json(cert)
+    if as_split and isinstance(cert, DimensionCertificate):
+        data = split_result_to_json(cert.window, cert.solutions)
     assert certificate_from_json(data) == (data["kind"], cert)
-    assert certificate_from_json(json.loads(canonical(data))) == (data["kind"], cert)
+    text = canonical(data)
+    assert certificate_from_json(json.loads(text)) == (data["kind"], cert)
+    assert load_text(text) == (data["kind"], cert)
+
+
+def _nodes(data, path=()):
+    """The path of every node of a JSON tree, the root's included."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key, child in data.items() if isinstance(data, dict) else enumerate(data):
+            yield from _nodes(child, (*path, key))
+
+
+# objects of an anchor and a values list, in either key order: finite
+# solutions, or almost; they may land anywhere in a certificate
+solution_objects = st.builds(
+    lambda anchor, values, flip: {"values": values, "anchor": anchor} if flip
+    else {"anchor": anchor, "values": values},
+    st.integers(min_value=-3, max_value=40) | st.booleans(),
+    st.lists(st.sampled_from(["1/1", "0/1", "-1/2", "2/2", "x", 1, True, 1.0]), max_size=3),
+    st.booleans(),
+)
+
+
+@st.composite
+def tampered_certificates(draw):
+    """A certificate's JSON with up to three nodes replaced, by a solution
+    object or a plain value."""
+    data = draw(st.one_of(
+        dimension_certificates().map(to_json), partial_lacunary_solutions().map(to_json),
+        dimension_certificates().map(lambda c: split_result_to_json(c.window, c.solutions)),
+        st.builds(lambda: {"window": [1, 2], "vectors": [["1/1", "0/1"], ["0/1", "2/1"]]}),
+    ))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        path = draw(st.sampled_from(list(_nodes(data))))
+        new = draw(solution_objects | st.none() | st.integers(-3, 3) | st.just("1/1"))
+        if not path:
+            data = new
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_certificates())
+def test_certificate_loader_matches_the_plain_reader(data):
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as e:
+            return str(e)
+
+    text = json.dumps(data)
+    assert outcome(lambda: load_text(text)) == outcome(
+        lambda: certificate_from_json(json.loads(text))
+    )
+
+
+def test_loading_and_verifying_a_certificate_file_costs_less_than_its_tree(tmp_path):
+    """The peak of loading, reading and verifying a certificate file of unit
+    solutions, its text included: 442 bytes per solution when the file is
+    parsed into a tree of dicts first, 161 when each solution object is
+    decoded as it is parsed (76 of them the text written with indent=2)."""
+    n = 20_000
+    free = [i for i in range(1, 3 * n) if i % 3][:n]  # vanish_on_multiples_r2 leaves these free
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps({
+        "kind": "dimension_certificate", "k": n, "window": [0, free[-1] + 1],
+        "solutions": [{"anchor": i, "values": ["1/1"]} for i in free],
+    }, indent=2))
+    op = vanish_on_multiples_operator(2)
+    tracemalloc.start()
+    try:
+        kind, cert = jsonio._load_certificate(str(path))
+        assert kind == "dimension_certificate" and verify_dimension_certificate(op, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * n
 
 
 def test_inconclusive_to_json_fields():
