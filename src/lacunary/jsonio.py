@@ -12,17 +12,19 @@ returns the kind with the object, so the kind strings live here only.  A
 missing or an unknown key in any object, a finite solution included,
 names the object and the key.
 Every input file is read here.  _load_json reads any JSON file and rejects
-a key repeated in an object.  _load_certificate reads a certificate file and
-turns each finite solution object into a FiniteSolution while the file is
-parsed, so a certificate is never held as a tree of dicts.  The finite
-solutions of one file (or of one list, given parsed JSON) share the parsed
-and checked table of each distinct values list of strings: reading costs
-one parse per distinct table and a lookup per solution.  An object whose
-table fails stays a dict and is read in full, so the first bad solution is
-still the one reported.  A certificate file that fails to read is read
-again as plain JSON, so its error is the one certificate_from_json gives.
-A dense kernel vector parses, and tests for zero, each distinct string it
-holds once.  Each memo lasts for one file, list or vector.
+a key repeated in an object.  _load_certificate walks the top-level object
+of a certificate file itself: it turns each finite solution object into a
+FiniteSolution while the file is parsed, and trims each vector of a dense
+kernel basis before it parses the next, so a certificate is never held as
+a tree of dicts or of lists of strings.  The finite solutions of one file
+(or of one list, given parsed JSON) share the parsed and checked table of
+each distinct values list of strings: reading costs one parse per distinct
+table and a lookup per solution.  An object whose table fails stays a dict
+and is read in full, so the first bad solution is still the one reported.
+A certificate file that fails to read is read again as plain JSON, so its
+error is the one certificate_from_json gives.  A dense kernel vector
+parses, and tests for zero, each distinct string it holds once.  Each memo
+lasts for one file, list or vector.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), and dump_canonical fixes key order and indentation so identical
 inputs give byte-identical output files.  It writes chunk by chunk into the
@@ -36,7 +38,8 @@ import re
 from contextlib import suppress
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO, get_args
+from operator import indexOf
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence, TextIO, get_args
 
 from .engine import (
     DimensionCertificate,
@@ -320,26 +323,39 @@ def operator_from_json(data: Any) -> OperatorSpec:
     return op
 
 
+class _Trimmed(NamedTuple):  # a dense kernel vector's length and its nonzero span
+    size: int
+    solution: Optional[FiniteSolution]  # anchored at its offset in the vector; None if zero
+
+
+def _trimmed(vec: Any) -> _Trimmed:
+    if not isinstance(vec, list):
+        raise ValueError(f"vector must be a list, got {vec!r}")
+    if set(map(type, vec)) <= {str}:
+        # each distinct string once, in order of first use: the first bad entry raises
+        parsed = {text: parse_rational(text) for text in dict.fromkeys(vec)}
+    else:  # each entry on its own: as keys, 1 and True would be one
+        parsed = dict(enumerate(map(parse_rational, vec)))
+        vec = range(len(vec))
+    nonzero = list(map({key for key, v in parsed.items() if v}.__contains__, vec))
+    if True not in nonzero:
+        return _Trimmed(len(vec), None)
+    lo, hi = nonzero.index(True), len(vec) - indexOf(reversed(nonzero), True)
+    return _Trimmed(len(vec), FiniteSolution(lo, map(parsed.__getitem__, vec[lo:hi])))
+
+
 def _kernel_basis_from_json(data: dict) -> KernelBasis:
     _only_keys(data, ("window", "vectors"), "kernel_basis")
     w = _window_from_json(_key(data, "window", "kernel_basis"), "window")
 
     def solution(vec: Any) -> FiniteSolution:
-        if not isinstance(vec, list):
-            raise ValueError(f"vector must be a list, got {vec!r}")
-        if set(map(type, vec)) <= {str}:
-            # each distinct string once, in order of first use: the first bad entry raises
-            parsed = {text: parse_rational(text) for text in dict.fromkeys(vec)}
-        else:  # each entry on its own: as keys, 1 and True would be one
-            parsed = dict(enumerate(map(parse_rational, vec)))
-            vec = range(len(vec))
-        if len(vec) != w.size:
-            raise ValueError(f"kernel vector has {len(vec)} entries, window has {w.size}")
-        is_zero = list(map({key for key, v in parsed.items() if not v}.__contains__, vec))
-        if all(is_zero):
+        # _load_certificate trims each vector as it parses it: "vectors" sorts before "window"
+        size, trimmed = vec if type(vec) is _Trimmed else _trimmed(vec)
+        if size != w.size:
+            raise ValueError(f"kernel vector has {size} entries, window has {w.size}")
+        if trimmed is None:
             raise ValueError("zero vector in kernel basis")
-        lo, hi = is_zero.index(False), len(vec) - is_zero[::-1].index(False)
-        return FiniteSolution(w.lo + lo, map(parsed.__getitem__, vec[lo:hi]))
+        return FiniteSolution._trusted(w.lo + trimmed.anchor, trimmed.values)
 
     return KernelBasis(w, _list(_key(data, "vectors", "kernel_basis"), "vectors", solution))
 
@@ -413,33 +429,58 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 # __all__, and bench/layers.py counts a jsonio span as parsing only by a
 # `_from_json` name, so an exported loader would take the JSON decode out of
 # every per-layer metric.
-def _load_json(path: str, hook: Callable[[list], Any] = _unique_keys) -> Any:
-    """The JSON value in the file at path, each object made by hook: by
-    default a dict, and an error if a key repeats."""
+def _load_json(path: str) -> Any:
+    """The JSON value in the file at path; an error if a key repeats in an object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=hook)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
+def _walk_certificate(path: str) -> Any:
+    """The JSON object in the file at path, each object made by _decode after
+    the duplicate-key check, and each member an array of arrays (a dense
+    kernel basis's "vectors") read one array at a time, each trimmed as soon
+    as it is parsed.  The C decoder parses every other member whole."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    tables: dict = {}
+
+    def hook(pairs: list) -> Any:
+        return _decode(_unique_keys(pairs), tables)
+
+    scan, space = json.JSONDecoder(object_pairs_hook=hook).scan_once, json.decoder.WHITESPACE.match
+
+    def trimmed(s: str, i: int) -> tuple[_Trimmed, int]:
+        vec, i = scan(s, i)
+        return _trimmed(vec), i
+
+    def member(s: str, i: int) -> tuple[Any, int]:
+        if s.startswith("[", i) and s.startswith("[", space(s, i + 1).end()):
+            return json.decoder.JSONArray((s, i + 1), trimmed)
+        return scan(s, i)
+
+    start = space(text).end()
+    if not text.startswith("{", start):
+        raise ValueError("expected an object")
+    data, end = json.decoder.JSONObject((text, start + 1), True, member, None, hook)
+    if space(text, end).end() != len(text):
+        raise ValueError("extra data")
+    return data
+
+
 def _load_certificate(path: str) -> tuple[str, Any]:
     """certificate_from_json of the JSON in the file at path, read at the size of its result.
 
-    Each object is decoded as it is parsed: after the duplicate-key check,
-    _decode turns a finite solution into a FiniteSolution, so a certificate
-    is never held as a tree of dicts.  A file that fails to read is read
+    A file that _walk_certificate or certificate_from_json fails on is read
     again as plain JSON, so that its error is certificate_from_json's of
     that JSON: a solution object out of place is then the dict it is.
     """
-    tables: dict = {}
-    data = _load_json(path, lambda pairs: _decode(_unique_keys(pairs), tables))
-    try:
-        return certificate_from_json(data)
-    except ValueError:
-        del data, tables  # freed before the second read
+    with suppress(ValueError, RecursionError):
+        return certificate_from_json(_walk_certificate(path))
     return certificate_from_json(_load_json(path))
 
 

@@ -817,6 +817,18 @@ CERTIFICATE_ERRORS = {
     "a solution as a gap": (_partial(gap_profile=[ONE_POINT]), None),
     "a solution as a kernel vector": ({"window": [1, 1], "vectors": [ONE_POINT]}, None),
     "a solution as a kernel entry": ({"window": [1, 1], "vectors": [[ONE_POINT]]}, None),
+    # a dense basis is trimmed vector by vector as it is read: the window,
+    # which sorts after the vectors, is checked only once all are read
+    "a short 1st vector before a bad entry in the 2nd": (
+        {"vectors": [["1/1", "0/1"], ["1/1", "x", "0/1"]], "window": [0, 2]}, None),
+    "a zero vector": ({"window": [0, 1], "vectors": [["1/1", "0/1"], ["0/1", "0/1"]]}, None),
+    "a non-list among the vectors": ({"vectors": [["1/1", "0/1"], 5], "window": [0, 1]}, None),
+    "a nested-list entry": ({"vectors": [["1/1", ["0/1"]]], "window": [0, 1]}, None),
+    "duplicate vectors": (
+        '{"vectors": [["1/1", "0/1"]], "window": [0, 1], "vectors": [["0/1", "1/1"]]}',
+        "duplicate key 'vectors' in a JSON object"),
+    "empty vectors beside a bad window": ({"vectors": [], "window": [0, "1"]}, None),
+    "trailing data": ('{"vectors": [["1/1", "0/1"]], "window": [0, 1]} []', None),
 }
 
 
@@ -827,14 +839,36 @@ def test_verify_reports_what_reading_the_plain_json_raises(
     capsys, tmp_path, vanish_r2, data, message,
 ):
     text = data if isinstance(data, str) else json.dumps(data)
+    path = tmp_path / "certificate.json"
+    path.write_text(text)
     if message is None:
         with pytest.raises(ValueError) as caught:
             certificate_from_json(json.loads(text))
         message = str(caught.value)
-    path = tmp_path / "certificate.json"
-    path.write_text(text)
+        if isinstance(caught.value, json.JSONDecodeError):  # a read error names the file
+            message = f"{path}: {message}"
     code, out, err = run(capsys, "verify", "--operator", vanish_r2, "--certificate", str(path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# a command that reads the file each flag names
+FILE_FLAGS = {
+    "--operator": ("kernel", "--window", "0:4"),
+    "--sequence": ("check", "--operator", "{operator}", "--window", "0:4"),
+    "--certificate": ("verify", "--operator", "{operator}"),
+}
+
+
+@pytest.mark.parametrize("flag", FILE_FLAGS)
+def test_a_file_that_is_not_utf8_is_named_in_its_error(capsys, tmp_path, vanish_r2, flag):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = [arg.format(operator=vanish_r2) for arg in FILE_FLAGS[flag]]
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_operator_and_sequence_files_keep_solution_objects_as_dicts(capsys, tmp_path, vanish_r2):
