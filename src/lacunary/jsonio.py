@@ -12,19 +12,19 @@ returns the kind with the object, so the kind strings live here only.  A
 missing or an unknown key in any object, a finite solution included,
 names the object and the key.
 Every input file is read here.  _load_json reads any JSON file and rejects
-a key repeated in an object.  _load_certificate walks the top-level object
-of a certificate file itself: it turns each finite solution object into a
-FiniteSolution while the file is parsed, and trims each vector of a dense
-kernel basis before it parses the next, so a certificate is never held as
-a tree of dicts or of lists of strings.  The finite solutions of one file
-(or of one list, given parsed JSON) share the parsed and checked table of
-each distinct values list of strings: reading costs one parse per distinct
-table and a lookup per solution.  An object whose table fails stays a dict
-and is read in full, so the first bad solution is still the one reported.
-A certificate file that fails to read is read again as plain JSON, so its
-error is the one certificate_from_json gives.  A dense kernel vector
-parses, and tests for zero, each distinct string it holds once.  Each memo
-lasts for one file, list or vector.
+a key repeated in an object.  _load_certificate reads a certificate file
+_PIECE bytes at a time and parses each element of an array member on its
+own: each finite solution object becomes a FiniteSolution as it is parsed,
+and each vector of a dense kernel basis is trimmed before the next is
+parsed, so a certificate is never held as its text, a tree of dicts or
+lists of strings.  The finite solutions of one file (or of one list, given
+parsed JSON) share the parsed and checked table of each distinct values
+list of strings: reading costs one parse per distinct table and a lookup
+per solution.  An object whose table fails stays a dict and is read in
+full, so the first bad solution is still the one reported.  A file that
+fails to read is read again as plain JSON, for certificate_from_json's
+error.  A dense kernel vector parses, and tests for zero, each distinct
+string it holds once.  Each memo lasts for one file, list or vector.
 Rationals travel as strings "p/q" with q > 0 and gcd(p, q) = 1 ("0/1" for
 zero), and dump_canonical fixes key order and indentation so identical
 inputs give byte-identical output files.  It writes chunk by chunk into the
@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import json
 import re
+from codecs import utf_8_decode
 from contextlib import suppress
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from operator import indexOf
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence, TextIO, get_args
@@ -56,6 +58,7 @@ from .sequences import (
     ResiduePolynomial,
     SequenceSpec,
     Window,
+    _set,
 )
 
 if TYPE_CHECKING:
@@ -210,41 +213,51 @@ def _per_class(data: Any, modulus: int) -> dict[int, tuple[Fraction, ...]]:
     }
 
 
-def _decode(item: Any, tables: dict) -> Any:
-    """item as a FiniteSolution if it is an object of exactly an int anchor and
-    a values list whose table checks; else item itself, to be read in full.
+def _decode(tables: dict, pairs: Any) -> Any:
+    """The object of `pairs`, its (key, value) pairs as parsed or a dict's
+    items: a FiniteSolution if it is exactly an int anchor and a values list
+    whose table checks, else a dict to be read in full; a repeated key is an
+    error.  A solution of a table already seen calls no Python function.
 
     Each distinct values list is parsed and checked once per `tables`, and
     a failed one is remembered as None.  Only a list of strings gets a table
     (no other JSON value equals a string), so `[true]` never takes `[1]`'s.
     """
-    if not (type(item) is dict and len(item) == 2 and type(anchor := item.get("anchor")) is int
-            and type(raw := item.get("values")) is list):
-        return item
-    try:
-        values = tables[tuple(raw)]
-    except TypeError:  # an unhashable entry
-        return item
-    except KeyError:
-        values = None
-        if all(type(text) is str for text in raw):
-            with suppress(ValueError):
-                values = FiniteSolution(0, map(parse_rational, raw)).values
-        tables[tuple(raw)] = values
-    return item if values is None else FiniteSolution._trusted(anchor, values)
+    if len(pairs) == 2:  # keyed "anchor" and "values", in either order, two pairs repeat no key
+        (key, anchor), (other, raw) = pairs
+        if key == "values":
+            key, anchor, other, raw = other, raw, key, anchor
+        if key == "anchor" and other == "values" and type(anchor) is int and type(raw) is list:
+            try:
+                values = tables[tuple(raw)]
+            except TypeError:  # an unhashable entry
+                values = None
+            except KeyError:
+                values = None
+                if all(type(text) is str for text in raw):
+                    with suppress(ValueError):
+                        values = FiniteSolution(0, map(parse_rational, raw)).values
+                tables[tuple(raw)] = values
+            if values is not None:  # FiniteSolution._trusted, without its call
+                solution = object.__new__(FiniteSolution)
+                _set(solution, "anchor", anchor)
+                _set(solution, "values", values)
+                return solution
+    return _unique_keys(pairs)
 
 
 def _finite_solutions(data: Any, what: str) -> tuple[FiniteSolution, ...]:
     """A list of finite solutions, decoded while parsed (_load_certificate) or not.
 
-    Each item not yet a FiniteSolution goes through _decode, and one it
-    leaves as it is is read in full, so the first bad one (an unknown key
-    included) is the one reported.
+    Each object goes through _decode, and one it leaves a dict is read in
+    full, so the first bad item (an unknown key included) is the one reported.
     """
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list, got {data!r}")
-    tables: dict = {}
-    return tuple(_finite_solution(_decode(item, tables)) for item in data)
+    if set(map(type, data)) <= {FiniteSolution}:  # all decoded as the file was parsed
+        return tuple(data)
+    decode = partial(_decode, {})
+    return tuple(_finite_solution(decode(x.items()) if type(x) is dict else x) for x in data)
 
 
 def _finite_solution(item: Any) -> FiniteSolution:
@@ -440,36 +453,53 @@ def _load_json(path: str) -> Any:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
+_PIECE = 1 << 16  # bytes of a certificate read at once; more only while an element does not fit
+
+
 def _walk_certificate(path: str) -> Any:
-    """The JSON object in the file at path, each object made by _decode after
-    the duplicate-key check, and each member an array of arrays (a dense
-    kernel basis's "vectors") read one array at a time, each trimmed as soon
-    as it is parsed.  The C decoder parses every other member whole."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    tables: dict = {}
-
-    def hook(pairs: list) -> Any:
-        return _decode(_unique_keys(pairs), tables)
-
-    scan, space = json.JSONDecoder(object_pairs_hook=hook).scan_once, json.decoder.WHITESPACE.match
-
-    def trimmed(s: str, i: int) -> tuple[_Trimmed, int]:
-        vec, i = scan(s, i)
-        return _trimmed(vec), i
-
-    def member(s: str, i: int) -> tuple[Any, int]:
-        if s.startswith("[", i) and s.startswith("[", space(s, i + 1).end()):
-            return json.decoder.JSONArray((s, i + 1), trimmed)
-        return scan(s, i)
-
-    start = space(text).end()
-    if not text.startswith("{", start):
-        raise ValueError("expected an object")
-    data, end = json.decoder.JSONObject((text, start + 1), True, member, None, hook)
-    if space(text, end).end() != len(text):
-        raise ValueError("extra data")
-    return data
+    """The JSON object in the file at path, read _PIECE bytes at a time.  The
+    C decoder parses each member whole, or each element of one that is an
+    array: an object through _decode, an array (a dense basis's vector)
+    trimmed at once.  A step that fails on the text read so far, or ends
+    with it (a number may go on), is taken again on more text."""
+    scan = json.JSONDecoder(object_pairs_hook=partial(_decode, {})).scan_once
+    space = json.decoder.WHITESPACE.match
+    # "," or "]" after an element, and the whitespace after it (compiled here, not by every import)
+    after_element = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*(?=[^ \t\n\r])").match
+    pairs, items = [], None  # the object's (key, value) pairs; the elements of an open array
+    text, i, raw = "", 0, b""  # the text read, where its unparsed part starts, a split character
+    with open(path, "rb") as fh:
+        while True:
+            try:
+                while items is not None:  # elements, each then "," or "]"
+                    value, j = scan(text, i)
+                    if not (after := after_element(text, j)):
+                        raise ValueError("expected ',' or ']'")
+                    items.append(_trimmed(value) if type(value) is list else value)
+                    i, items = after.end(), None if after[1] == "]" else items
+                j = space(text, i).end()
+                if text[j] == "}" and pairs and not (  # the end, with only whitespace after it
+                        text[j + 1:] + (raw + fh.read()).decode()).strip(" \t\n\r"):
+                    return _unique_keys(pairs)
+                if text[j] != ("," if pairs else "{"):
+                    raise ValueError("expected an object")
+                key, j = scan(text, space(text, j + 1).end())  # then ":", and a value or "["
+                if type(key) is not str or text[j := space(text, j).end()] != ":":
+                    raise ValueError("expected a key and ':'")
+                if text[j := space(text, j + 1).end()] == "[":  # its elements come next
+                    value, j = [], space(text, j + 1).end()
+                    items, j = (None, j + 1) if text[j] == "]" else (value, j)  # "[]" ends here
+                else:
+                    value, j = scan(text, j)
+                    if text[space(text, j).end()] not in ",}":
+                        raise ValueError("expected ',' or '}'")
+                pairs.append((key, value))
+                i = j
+            except (ValueError, StopIteration, IndexError):
+                if not (piece := fh.read(max(_PIECE, len(text) - i))):
+                    raise ValueError("not the JSON of a certificate") from None
+                more, used = utf_8_decode(raw + piece)
+                text, i, raw = text[i:] + more, 0, (raw + piece)[used:]
 
 
 def _load_certificate(path: str) -> tuple[str, Any]:

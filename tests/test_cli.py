@@ -859,15 +859,24 @@ FILE_FLAGS = {
 }
 
 
+# the start of a certificate, longer than the pieces it is read in
+LONG_PREFIX = (
+    '{"kind": "dimension_certificate", "k": 5000, "window": [0, 15000], "solutions": ['
+    + "".join(f'{{"anchor": {3 * i + 1}, "values": ["1/1"]}}, ' for i in range(5000))
+).encode()
+
+
+@pytest.mark.parametrize("prefix", [b"", LONG_PREFIX], ids=["first byte", "past a piece"])
 @pytest.mark.parametrize("flag", FILE_FLAGS)
-def test_a_file_that_is_not_utf8_is_named_in_its_error(capsys, tmp_path, vanish_r2, flag):
+def test_a_file_that_is_not_utf8_is_named_in_its_error(capsys, tmp_path, vanish_r2, flag, prefix):
     path = tmp_path / "input.json"
-    path.write_bytes(b"\xff\xfe{}")
+    path.write_bytes(prefix + b"\xff\xfe{}")
     argv = [arg.format(operator=vanish_r2) for arg in FILE_FLAGS[flag]]
     code, out, err = run(capsys, *argv, flag, str(path))
     assert (code, out) == (1, "")
     assert err == (
-        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {len(prefix)}: "
+        "invalid start byte\n"
     )
 
 

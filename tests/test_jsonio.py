@@ -1,11 +1,14 @@
 """Round trips and canonical forms for the file formats."""
 
+import gc
 import io
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,25 +271,83 @@ def test_partial_lacunary_round_trip():
     assert certificate_from_json(data) == ("partial_lacunary", out)
 
 
-def load_text(text):
-    """jsonio._load_certificate of a file holding text."""
+# sizes in bytes of the pieces a certificate file is read in: tiny ones put
+# a boundary inside nearly every token
+PIECES = [1, 3, 16, jsonio._PIECE]
+
+
+def load_text(text, piece=jsonio._PIECE, read=jsonio._load_certificate):
+    """read(path) of a file holding text, which it reads `piece` bytes at a time."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "certificate.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return jsonio._load_certificate(path)
+        with mock.patch.object(jsonio, "_PIECE", piece):
+            return read(path)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(dimension_certificates(), partial_lacunary_solutions()), st.booleans())
-def test_certificate_round_trip_property(cert, as_split):
+@given(
+    st.one_of(dimension_certificates(), partial_lacunary_solutions()), st.booleans(),
+    st.sampled_from(PIECES),
+)
+def test_certificate_round_trip_property(cert, as_split, piece):
     data = to_json(cert)
     if as_split and isinstance(cert, DimensionCertificate):
         data = split_result_to_json(cert.window, cert.solutions)
     assert certificate_from_json(data) == (data["kind"], cert)
     text = canonical(data)
     assert certificate_from_json(json.loads(text)) == (data["kind"], cert)
-    assert load_text(text) == (data["kind"], cert)
+    with mock.patch.object(jsonio, "_load_json", side_effect=AssertionError("read again")):
+        assert load_text(text, piece) == (data["kind"], cert)
+
+
+# texts whose tokens a piece boundary may split: numbers (12|3, 1.|5, 1e|5
+# and -|1, each as a member and as an element), true and null, keys, a
+# string with escapes and one with a character of two bytes
+BOUNDARY_TEXTS = [
+    '{"k": 123, "window": [0, 123]}',
+    '{"a": 1.5, "b": [2, 1.5]}',
+    '{"a": 1e5, "b": [1e5]}',
+    '{"a": -1, "window": [-1, 0]}',
+    '{"a": true, "b": [true, false]}',
+    '{"a": null, "b": [null]}',
+    r'{"wi\u006edow": ["a\"\u00e9\n"], "reason": "\\"}',
+    '{"reason": "\u00e9t\u00e9", "b": []}',
+]
+
+
+def test_a_piece_boundary_inside_any_token_reads_as_the_whole_text():
+    for text in BOUNDARY_TEXTS:
+        for piece in range(1, len(text.encode()) + 1):  # the first boundary at every byte
+            assert load_text(text, piece, jsonio._walk_certificate) == json.loads(text)
+    # integers longer than a piece, past the 4300 digits Python converts by default
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = '{"window": [0, %d], "k": %d}' % (9 ** 5240, 7 ** 5100)
+        for piece in PIECES:
+            assert load_text(text, piece, jsonio._walk_certificate) == json.loads(text)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("solution", [
+    '{"anchor": 4, "anchor": 4, "values": ["1/1"]}',
+    '{"anchor": 4, "anchor": 4}',
+    '{"values": ["1/1"], "values": ["1/1"]}',
+    '{"values": ["1/1"], "anchor": 4, "values": ["1/1"]}',
+])
+def test_a_repeated_key_in_a_solution_is_rejected_wherever_the_pieces_end(solution):
+    text = (
+        '{"kind": "dimension_certificate", "k": 2, "window": [0, 30], "solutions": '
+        f'[{{"anchor": 1, "values": ["1/1"]}}, {solution}]}}'
+    )
+    for piece in PIECES:
+        with pytest.raises(ValueError, match="^duplicate key '(anchor|values)' in a JSON object$"):
+            load_text(text, piece)
 
 
 def _nodes(data, path=()):
@@ -351,8 +412,8 @@ LAYOUTS = [{}, {"separators": (",", ":")}, {"indent": 2, "sort_keys": True}]
 
 
 @settings(max_examples=150, deadline=None)
-@given(tampered_certificates(), st.sampled_from(LAYOUTS))
-def test_certificate_loader_matches_the_plain_reader(data, layout):
+@given(tampered_certificates(), st.sampled_from(LAYOUTS), st.sampled_from(PIECES))
+def test_certificate_loader_matches_the_plain_reader(data, layout, piece):
     def outcome(read):
         try:
             return read()
@@ -360,32 +421,69 @@ def test_certificate_loader_matches_the_plain_reader(data, layout):
             return str(e)
 
     text = json.dumps(data, **layout)
-    assert outcome(lambda: load_text(text)) == outcome(
+    assert outcome(lambda: load_text(text, piece)) == outcome(
         lambda: certificate_from_json(json.loads(text))
     )
 
 
-def test_loading_and_verifying_a_certificate_file_costs_less_than_its_tree(tmp_path):
-    """The peak of loading, reading and verifying a certificate file of unit
-    solutions, its text included: 442 bytes per solution when the file is
-    parsed into a tree of dicts first, 161 when each solution object is
-    decoded as it is parsed (76 of them the text written with indent=2)."""
-    n = 20_000
+def unit_solutions_file(path, n):
+    """The path of a dimension certificate of n unit solutions, written with indent=2."""
     free = [i for i in range(1, 3 * n) if i % 3][:n]  # vanish_on_multiples_r2 leaves these free
-    path = tmp_path / "certificate.json"
     path.write_text(json.dumps({
         "kind": "dimension_certificate", "k": n, "window": [0, free[-1] + 1],
         "solutions": [{"anchor": i, "values": ["1/1"]} for i in free],
     }, indent=2))
+    return str(path)
+
+
+def test_loading_and_verifying_a_certificate_file_costs_less_than_its_tree(tmp_path):
+    """The peak of loading, reading and verifying a certificate file of unit
+    solutions: 442 bytes per solution when the file is parsed into a tree of
+    dicts first, 161 when each solution object is decoded as it is parsed
+    from the whole text (76 bytes per solution), 101 when the file is read
+    in pieces and its text is never held whole."""
+    n = 20_000
+    path = unit_solutions_file(tmp_path / "certificate.json", n)
     op = vanish_on_multiples_operator(2)
     tracemalloc.start()
     try:
-        kind, cert = jsonio._load_certificate(str(path))
+        kind, cert = jsonio._load_certificate(path)
         assert kind == "dimension_certificate" and verify_dimension_certificate(op, cert)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * n
+    assert peak <= 125 * n
+
+
+def test_reading_a_certificate_file_runs_one_python_function_per_solution(tmp_path):
+    """Counted by sys.setprofile, with no timing: the one Python function
+    that runs per solution object is the hook that decodes it.  A piece that
+    ends inside an object adds one more, the __init__ of the JSONDecodeError
+    that the decoder raises there.  The collector is off while counting, as
+    a callback it runs (hypothesis installs one) would count too."""
+    def calls_and_pieces(n):
+        path = unit_solutions_file(tmp_path / f"certificate_{n}.json", n)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        before, collecting = sys.getprofile(), gc.isenabled()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            kind, cert = jsonio._load_certificate(path)
+        finally:
+            sys.setprofile(before)
+            if collecting:
+                gc.enable()
+        assert (kind, len(cert.solutions)) == ("dimension_certificate", n)
+        return count, -(-os.path.getsize(path) // jsonio._PIECE)
+
+    (calls, pieces), (more_calls, more_pieces) = calls_and_pieces(1000), calls_and_pieces(2000)
+    assert more_pieces > pieces
+    assert more_calls - calls <= 1000 + (more_pieces - pieces)
 
 
 def unit_basis_text(**layout):
@@ -416,15 +514,16 @@ def test_certificate_loader_trims_kernel_vectors_without_a_second_read(tmp_path,
 
     expected = [certificate_from_json(json.loads(text)) for text in texts]
     monkeypatch.setattr(jsonio, "_load_json", second_read)
-    assert [load_text(text) for text in texts] == expected
+    for piece in PIECES:
+        assert [load_text(text, piece) for text in texts] == expected
     assert [len(cert.solutions) for _, cert in expected] == [200, 200, 200, 0]
 
 
 def test_loading_and_verifying_a_dense_kernel_basis_costs_about_its_text(tmp_path):
     """The peak of loading and verifying the consume workload's dense basis
-    (785 056 bytes), its text included: 5.6 times the file when the vectors
-    are parsed into lists before any is trimmed, 2.0 when each is trimmed
-    as soon as it is parsed."""
+    (785 056 bytes): 5.6 times the file when the vectors are parsed into
+    lists before any is trimmed, 2.0 when each is trimmed as soon as it is
+    parsed from the whole text, 0.45 when the file is read in pieces."""
     path = tmp_path / "kernel_basis.json"
     path.write_text(unit_basis_text(indent=2, sort_keys=True))
     op = vanish_on_multiples_operator(2)
@@ -435,7 +534,7 @@ def test_loading_and_verifying_a_dense_kernel_basis_costs_about_its_text(tmp_pat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * path.stat().st_size
+    assert peak <= 0.75 * path.stat().st_size
 
 
 def test_inconclusive_to_json_fields():
