@@ -25,6 +25,7 @@ from .engine import (
     Inconclusive,
     NotASolutionOnWindow,
     PartialLacunarySolution,
+    SplitResult,
     build_lacunary,
     certify_dimension,
     split_lacunary,
@@ -40,7 +41,6 @@ from .jsonio import (
     manifest_to_json,
     operator_from_json,
     sequence_from_json,
-    split_result_to_json,
     to_json,
 )
 from .linalg import KernelBasis, VerificationFailure, finite_support_kernel
@@ -132,7 +132,7 @@ def _cmd_split(args) -> tuple[int, dict, list[str]]:
     else:
         supports = "; ".join(str(sorted(p.support_set())) for p in pieces)
         text = [f"{len(pieces)} independent pieces with supports {supports}"]
-    return EXIT_OK, split_result_to_json(w, pieces), text
+    return EXIT_OK, to_json(SplitResult(pieces, w)), text
 
 
 def _cmd_build(args) -> tuple[int, dict, list[str]]:

@@ -40,6 +40,7 @@ __all__ = [
     "Inconclusive",
     "NotASolutionOnWindow",
     "PartialLacunarySolution",
+    "SplitResult",
     "build_lacunary",
     "certify_dimension",
     "split_lacunary",
@@ -111,6 +112,13 @@ class DimensionCertificate(Record):
             raise ValueError("solution supports are not pairwise disjoint")
         if leaves:
             raise ValueError("solution support leaves the certificate window")
+
+
+class SplitResult(Record):
+    """The pieces split_lacunary cut from a solution on window, leftmost first."""
+
+    pieces: tuple[FiniteSolution, ...]
+    window: Window
 
 
 def _along(s: FiniteSolution, d: int) -> tuple[int, int]:

@@ -3,14 +3,14 @@
 Every library object's wire format lives here, certificates and the
 corpus manifest included: the command line calls these readers and
 writers, and builds only the {"command": ...} reports of check and
-verify, which hold no library object.  A tagged kind (a sequence spec, a
-certificate or an outcome) is an object of its Record fields and a
-"kind" tag: to_json writes every kind, and _record_from_json reads one
-through one reader per field name, so a kind's keys are listed once, as
-its fields.  Certificates have one reader, certificate_from_json, which
-returns the kind with the object, so the kind strings live here only.  A
-missing or an unknown key in any object, a finite solution included,
-names the object and the key.
+verify, which hold no library object.  One codec reads and writes every
+object but the dense kernel basis: to_json writes a Record as an object of
+its fields, and _record_from_json reads one through one reader per field
+name, so its keys are listed once, as its fields.  A tagged kind (a
+sequence spec, a certificate, a split result or an outcome) adds a "kind"
+tag, written in _KINDS only.  certificate_from_json reads every
+certificate and returns its kind.  A missing or an unknown key in any
+object names the object and the key.
 Every input file is read here.  _load_json reads any JSON file and rejects
 a key repeated in an object.  _load_certificate reads a certificate file
 _PIECE bytes at a time and parses each element of an array member on its
@@ -47,6 +47,7 @@ from .engine import (
     DimensionCertificate,
     Inconclusive,
     PartialLacunarySolution,
+    SplitResult,
 )
 from .linalg import KernelBasis
 from .operators import FiniteSolution, OperatorSpec
@@ -73,7 +74,6 @@ __all__ = [
     "operator_to_json",
     "parse_rational",
     "sequence_from_json",
-    "split_result_to_json",
     "to_json",
 ]
 
@@ -145,6 +145,7 @@ _KINDS = {
     DimensionCertificate: "dimension_certificate",
     PartialLacunarySolution: "partial_lacunary",
     Inconclusive: "inconclusive",
+    SplitResult: "split_result",
 }
 
 
@@ -265,14 +266,11 @@ def _finite_solution(item: Any) -> FiniteSolution:
         return item
     if not isinstance(item, dict):
         raise ValueError("finite solution JSON must be an object")
-    _only_keys(item, FiniteSolution._fields, "finite solution")
-    anchor = _int(_key(item, "anchor", "finite solution"), "anchor")
-    raw = _key(item, "values", "finite solution")
-    return FiniteSolution(anchor, _list(raw, "values", parse_rational))
+    return _record_from_json(FiniteSolution, item, "finite solution")
 
 
-# The reader of each field of the tagged kinds, called with the JSON value and
-# the field's name; per_class gets the modulus read before it instead.
+# The reader of each field of the Records read here, called with the JSON value
+# and the field's name; per_class gets the modulus read before it instead.
 _FIELDS: dict[str, Callable[[Any, Any], Any]] = {
     **dict.fromkeys(
         ("anchor", "period", "offset", "modulus", "scale", "shift", "k", "best_kernel_dim",
@@ -280,10 +278,11 @@ _FIELDS: dict[str, Callable[[Any, Any], Any]] = {
         _int,
     ),
     **dict.fromkeys(("default", "value"), lambda value, what: parse_rational(value)),
-    **dict.fromkeys(("solutions", "blocks"), _finite_solutions),
+    **dict.fromkeys(("solutions", "blocks", "pieces"), _finite_solutions),
     # PartialLacunarySolution checks its ray itself; a reason is free text
     **dict.fromkeys(("ray", "reason"), lambda value, what: value),
     "values": lambda value, what: _list(value, what, parse_rational),
+    "coeffs": lambda value, what: _list(value, what, sequence_from_json),
     "allow_negative_m": _bool,
     "window": _window_from_json,
     "gap_profile": lambda value, what: _list(value, what, lambda g: _int(g, "gap")),
@@ -294,10 +293,10 @@ _FIELDS: dict[str, Callable[[Any, Any], Any]] = {
 def _record_from_json(cls: type, data: dict, what: str) -> Any:
     """The Record of class cls written as data: each field read by its reader, in order.
 
-    A missing field takes the class's default, or is an error naming `what`
-    and the key.
+    A "kind" key is allowed only for a tagged kind.  A missing field takes
+    the class's default, or is an error naming `what` and the key.
     """
-    _only_keys(data, ("kind", *cls._fields), what)
+    _only_keys(data, ("kind", *cls._fields) if cls in _KINDS else cls._fields, what)
     fields: dict[str, Any] = {}
     for name in cls._fields:
         if name in data:
@@ -325,13 +324,12 @@ def operator_to_json(op: OperatorSpec) -> dict:
 def operator_from_json(data: Any) -> OperatorSpec:
     if not isinstance(data, dict):
         raise ValueError("operator JSON must be an object with a 'coeffs' list")
-    _only_keys(data, ("order", "coeffs"), "operator")
-    coeffs = _list(_key(data, "coeffs", "operator"), "coeffs", sequence_from_json)
-    op = OperatorSpec(coeffs)
+    fields = {key: value for key, value in data.items() if key != "order"}
+    op = _record_from_json(OperatorSpec, fields, "operator")
     declared = data.get("order", op.order)  # optional, but never null
     if _int(declared, "order") != op.order:
         raise ValueError(
-            f"declared order {declared} does not match {len(coeffs)} coefficients"
+            f"declared order {declared} does not match {len(op.coeffs)} coefficients"
         )
     return op
 
@@ -373,22 +371,6 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
     return KernelBasis(w, _list(_key(data, "vectors", "kernel_basis"), "vectors", solution))
 
 
-def split_result_to_json(window: Window, pieces: Sequence[FiniteSolution]) -> dict:
-    return {"kind": "split_result", "window": to_json(window), "pieces": to_json(pieces)}
-
-
-def _split_result_from_json(data: dict) -> Optional[DimensionCertificate]:
-    """A split's pieces as the dimension certificate they are; None if there are none.
-
-    The pieces must lie inside the window, pairwise disjoint, as for any
-    dimension certificate.  An empty split certifies nothing.
-    """
-    _only_keys(data, ("kind", "window", "pieces"), "split_result")
-    pieces = _finite_solutions(_key(data, "pieces", "split_result"), "pieces")
-    window = _window_from_json(_key(data, "window", "split_result"), "window")
-    return DimensionCertificate(len(pieces), window, pieces) if pieces else None
-
-
 def manifest_to_json(entries: Sequence[CorpusEntry]) -> dict:
     """The corpus listing: each entry's name, order and known facts."""
     return {
@@ -414,11 +396,13 @@ def certificate_from_json(data: Any) -> tuple[str, Any]:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     kind = data.get("kind")  # compared, never looked up: it may be any JSON value
-    for cls in (DimensionCertificate, PartialLacunarySolution):
+    for cls in (DimensionCertificate, PartialLacunarySolution, SplitResult):
         if kind == _KINDS[cls]:
-            return kind, _record_from_json(cls, data, kind)
-    if kind == "split_result":
-        return kind, _split_result_from_json(data)
+            cert = _record_from_json(cls, data, kind)
+            if cls is SplitResult:
+                pieces = cert.pieces
+                cert = DimensionCertificate(len(pieces), cert.window, pieces) if pieces else None
+            return kind, cert
     if kind is not None:
         raise ValueError(f"unknown certificate kind: {kind!r}")
     if "kind" not in data and ("window" in data or "vectors" in data):

@@ -829,6 +829,17 @@ CERTIFICATE_ERRORS = {
         "duplicate key 'vectors' in a JSON object"),
     "empty vectors beside a bad window": ({"vectors": [], "window": [0, "1"]}, None),
     "trailing data": ('{"vectors": [["1/1", "0/1"]], "window": [0, 1]} []', None),
+    # a split's keys are read in the order pieces, window; each piece is an
+    # object of exactly anchor and values
+    "no pieces beside a bad window": (
+        {"kind": "split_result", "window": "garbage"}, "split_result has no key 'pieces'"),
+    "a number as a piece": (
+        {"kind": "split_result", "window": [0, 10], "pieces": [ONE_POINT, 5]},
+        "finite solution JSON must be an object"),
+    "a kind in a piece": (
+        {"kind": "split_result", "window": [0, 10],
+         "pieces": [ONE_POINT, {"kind": "split_result", "anchor": 4, "values": ["1/1"]}]},
+        "finite solution has unknown key 'kind'"),
 }
 
 
@@ -848,6 +859,24 @@ def test_verify_reports_what_reading_the_plain_json_raises(
         if isinstance(caught.value, json.JSONDecodeError):  # a read error names the file
             message = f"{path}: {message}"
     code, out, err = run(capsys, "verify", "--operator", vanish_r2, "--certificate", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# an operator's keys are read before its coefficients, and its declared
+# order is checked against them last
+OPERATOR_ERRORS = {
+    "a kind": ({"kind": "x", "coeffs": []}, "operator has unknown key 'kind'"),
+    "no coeffs beside a bad order": ({"order": "x"}, "operator has no key 'coeffs'"),
+    "a wrong order": (
+        {"order": 3, "coeffs": [CONSTANT_ONE]}, "declared order 3 does not match 1 coefficients"),
+}
+
+
+@pytest.mark.parametrize("data, message", OPERATOR_ERRORS.values(), ids=list(OPERATOR_ERRORS))
+def test_operator_errors_keep_their_reading_order(capsys, tmp_path, data, message):
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "kernel", "--operator", str(path), "--window", "0:4")
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 

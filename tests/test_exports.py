@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import lacunary
+from lacunary import jsonio
 
 MODULES = ("cli", "corpus", "engine", "jsonio", "linalg", "operators", "sequences")
 
@@ -205,6 +206,41 @@ def test_corpus_imports_only_operators_and_sequences():
         if isinstance(node, ast.ImportFrom) and node.level:
             imported |= {node.module} if node.module else {a.name for a in node.names}
     assert imported <= {"operators", "sequences"}
+
+
+def test_each_kind_tag_is_written_once():
+    """A tagged kind's "kind" string is written in `jsonio._KINDS` and nowhere
+    else in jsonio or cli: no other string constant equals one, and no string
+    is written under a "kind" key or compared with a `kind`, so the codec, not
+    a reader or writer of its own, handles every tagged kind."""
+    tags = set(jsonio._KINDS.values())
+    trees = _library_trees()
+    table = next(
+        node.value for node in trees["jsonio"].body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_KINDS"
+    )
+    skip = set(map(id, ast.walk(table)))
+    strings = []
+    for module in ("jsonio", "cli"):
+        for node in ast.walk(trees[module]):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Dict):
+                strings += [
+                    v for k, v in zip(node.keys, node.values)
+                    if isinstance(k, ast.Constant) and k.value == "kind"
+                ]
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(getattr(n, "id", None) == "kind" for n in sides):
+                    strings += sides
+            elif isinstance(node, ast.Constant) and node.value in tags:
+                strings.append(node)
+    written = [
+        f"{n.value!r} at line {n.lineno}"
+        for n in strings if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    assert not written
 
 
 KINDS = {"FiniteTable", "Periodic", "ResiduePolynomial", "GeometricSupport"}

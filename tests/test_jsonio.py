@@ -22,6 +22,7 @@ from lacunary import (
     PartialLacunarySolution,
     Periodic,
     ResiduePolynomial,
+    SplitResult,
     Window,
     build_lacunary,
     certify_dimension,
@@ -45,7 +46,6 @@ from lacunary.jsonio import (
     operator_to_json,
     parse_rational,
     sequence_from_json,
-    split_result_to_json,
     to_json,
 )
 
@@ -294,7 +294,7 @@ def load_text(text, piece=jsonio._PIECE, read=jsonio._load_certificate):
 def test_certificate_round_trip_property(cert, as_split, piece):
     data = to_json(cert)
     if as_split and isinstance(cert, DimensionCertificate):
-        data = split_result_to_json(cert.window, cert.solutions)
+        data = to_json(SplitResult(cert.solutions, cert.window))
     assert certificate_from_json(data) == (data["kind"], cert)
     text = canonical(data)
     assert certificate_from_json(json.loads(text)) == (data["kind"], cert)
@@ -388,7 +388,7 @@ def tampered_certificates(draw):
     object or a plain value."""
     data = draw(st.one_of(
         dimension_certificates().map(to_json), partial_lacunary_solutions().map(to_json),
-        dimension_certificates().map(lambda c: split_result_to_json(c.window, c.solutions)),
+        dimension_certificates().map(lambda c: to_json(SplitResult(c.solutions, c.window))),
         dense_bases(),
     ))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
@@ -569,10 +569,10 @@ def test_split_result_reads_as_a_dimension_certificate():
     op, seq = vanish_on_multiples_operator(2), geometric_lacunary_sequence(2)
     w = Window(0, 1000)
     pieces = split_lacunary(op, seq, w)
-    data = split_result_to_json(w, pieces)
+    data = to_json(SplitResult(pieces, w))
     assert data["kind"] == "split_result"
     assert certificate_from_json(data) == ("split_result", DimensionCertificate(8, w, pieces))
-    assert certificate_from_json(split_result_to_json(w, [])) == ("split_result", None)
+    assert certificate_from_json(to_json(SplitResult([], w))) == ("split_result", None)
     piece = to_json(pieces[0])
     for bad in (
         {"window": "garbage", "pieces": [piece]},
