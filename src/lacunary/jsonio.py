@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from operator import indexOf
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence, TextIO, get_args
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO, get_args
 
 from .engine import (
     DimensionCertificate,
@@ -170,7 +170,7 @@ def to_json(value: Any) -> Any:
     if isinstance(value, KernelBasis):  # the one dense form: each solution as a row
         w = value.window
         return {
-            "window": [w.lo, w.hi],
+            "window": to_json(w),
             "vectors": [
                 ["0/1"] * (s.anchor - w.lo)
                 + [format_rational(v) for v in s.values]
@@ -334,12 +334,8 @@ def operator_from_json(data: Any) -> OperatorSpec:
     return op
 
 
-class _Trimmed(NamedTuple):  # a dense kernel vector's length and its nonzero span
-    size: int
-    solution: Optional[FiniteSolution]  # anchored at its offset in the vector; None if zero
-
-
-def _trimmed(vec: Any) -> _Trimmed:
+def _trimmed(vec: Any) -> tuple[int, Optional[FiniteSolution]]:
+    # a dense kernel vector's length and its nonzero span, anchored at its offset; None if zero
     if not isinstance(vec, list):
         raise ValueError(f"vector must be a list, got {vec!r}")
     if set(map(type, vec)) <= {str}:
@@ -350,9 +346,9 @@ def _trimmed(vec: Any) -> _Trimmed:
         vec = range(len(vec))
     nonzero = list(map({key for key, v in parsed.items() if v}.__contains__, vec))
     if True not in nonzero:
-        return _Trimmed(len(vec), None)
+        return len(vec), None
     lo, hi = nonzero.index(True), len(vec) - indexOf(reversed(nonzero), True)
-    return _Trimmed(len(vec), FiniteSolution(lo, map(parsed.__getitem__, vec[lo:hi])))
+    return len(vec), FiniteSolution(lo, map(parsed.__getitem__, vec[lo:hi]))
 
 
 def _kernel_basis_from_json(data: dict) -> KernelBasis:
@@ -360,8 +356,9 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
     w = _window_from_json(_key(data, "window", "kernel_basis"), "window")
 
     def solution(vec: Any) -> FiniteSolution:
-        # _load_certificate trims each vector as it parses it: "vectors" sorts before "window"
-        size, trimmed = vec if type(vec) is _Trimmed else _trimmed(vec)
+        # _load_certificate trims each vector as it parses it ("vectors" sorts
+        # before "window"); parsed JSON holds no tuple
+        size, trimmed = vec if type(vec) is tuple else _trimmed(vec)
         if size != w.size:
             raise ValueError(f"kernel vector has {size} entries, window has {w.size}")
         if trimmed is None:

@@ -23,14 +23,14 @@ of rows that all start at column 0.  There is one elimination routine:
 
 The nullspace basis is canonical (one vector per free column, trimmed to
 its nonzero span, integral, content 1, positive leading entry), so it does
-not depend on pivot choices.  Every vector is asserted to satisfy M v = 0
-exactly on each row whose span meets its own; every other row multiplies
-only zeros of the vector, so the check is complete.
+not depend on pivot choices.  finite_support_kernel re-checks every
+vector against the operator itself, by the complete residual check that
+`verify` runs (`operators._first_non_solution`); that is the one check,
+and it raises VerificationFailure even where asserts are off.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -107,7 +107,7 @@ def _eliminate(rows: Sequence[BandRow], ncols: int) -> dict[int, list[int]]:
 
 
 def _nullspace(rows: Sequence[BandRow], ncols: int) -> list[BandRow]:
-    """Canonical nullspace basis of a band-row system, checked exactly.
+    """Canonical nullspace basis of a band-row system.
 
     Basis vectors come in band form, (first column, integer values),
     trimmed to their nonzero span.
@@ -133,21 +133,6 @@ def _nullspace(rows: Sequence[BandRow], ncols: int) -> list[BandRow]:
             rev.append(value)
         values = rev[free - low :: -1]
         basis.append((low, _normalize(values)))
-
-    # M v = 0 on every row whose span meets the vector's; the rest see zeros
-    ordered = sorted(rows, key=lambda row: row[0])
-    starts = [first for first, _ in ordered]
-    for lo, values in basis:
-        hi = lo + len(values) - 1
-        near = slice(bisect.bisect_left(starts, lo - width + 1), bisect.bisect_right(starts, hi))
-        for first, entries in ordered[near]:
-            acc = sum(
-                a * values[first + j - lo]
-                for j, a in enumerate(entries)
-                if a and lo <= first + j <= hi
-            )
-            assert acc == 0, "nullspace vector fails exact M v = 0 check"
-    assert len(pivots) + len(basis) == ncols
     return basis
 
 

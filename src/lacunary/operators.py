@@ -26,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 
 from .sequences import (
     ZERO,
-    RationalLike,
     Record,
     ResidueMask,
     SequenceSpec,
@@ -80,8 +79,10 @@ class FiniteSolution(Record):
 
     The table must start and end with a nonzero entry, so support bounds
     are read off directly and equal sequences are structurally equal.  The
-    identically zero sequence is not a FiniteSolution.  `_trusted` builds
-    one, checking nothing, on a table an earlier constructor call checked.
+    identically zero sequence is not a FiniteSolution.  The constructor
+    takes any iterable of ints and Fractions and stores a tuple of
+    Fractions; `_trusted` builds one, checking nothing, on a table an
+    earlier constructor call checked.
     Its fields live in slots, not an instance dict: one is built per
     solution a certificate holds, and a slotted one takes 48 bytes, not 88.
     """
@@ -91,15 +92,12 @@ class FiniteSolution(Record):
     anchor: int
     values: tuple[Fraction, ...]
 
-    def __init__(self, anchor: int, values: Iterable[RationalLike]) -> None:
-        # its own constructor, not Record's generic binding: one is built per
-        # solution a certificate holds and per translate the block search makes
-        values = tuple(map(as_fraction, values))
+    def __post_init__(self) -> None:
+        values = tuple(map(as_fraction, self.values))
         if not values:
             raise ValueError("empty value table")
         if not (values[0] and values[-1]):
             raise ValueError("value table must be trimmed to its support")
-        _set(self, "anchor", anchor)
         _set(self, "values", values)
 
     @classmethod

@@ -74,12 +74,11 @@ class Record:
     """Frozen value whose fields are its class's own annotations, in order.
 
     A class attribute named like a field is its default.  After binding the
-    arguments, ``__post_init__`` may normalize a field with ``object.__setattr__``.
-    A subclass may define its own ``__init__`` instead, which sets every
-    field itself: `FiniteSolution` does, because certificates and the block
-    search build it thousands of times per command, and the generic binding
-    of arguments was most of that cost.  Equality, hashing, ``repr`` and
-    frozenness come from the fields either way.  Record itself has no
+    arguments, ``__post_init__`` may check the fields and normalize one with
+    ``object.__setattr__``.  No subclass defines its own ``__init__``: every
+    Record is built by this one binding, or, for a `FiniteSolution` whose
+    table was already checked, by `_trusted`.  Equality, hashing, ``repr``
+    and frozenness come from the fields.  Record itself has no
     instance dict, so a subclass that names its fields in ``__slots__``
     has none either.
     """
@@ -338,22 +337,18 @@ class GeometricSupport(_Sequence, Record):
             raise ValueError("scale must be a positive integer")
         object.__setattr__(self, "value", as_fraction(self.value))
 
+    def _base(self) -> int:
+        # the index set is base * 2**j + shift for j >= 0: with m < 0 allowed,
+        # scale * 2**m is an integer down to the odd part of scale
+        return self.scale // (self.scale & -self.scale) if self.allow_negative_m else self.scale
+
     def value_at(self, n: int) -> Fraction:
-        d = n - self.shift
-        if d >= self.scale and d % self.scale == 0:
-            q = d // self.scale
-            if q & (q - 1) == 0:  # q == 2**m, m >= 0
-                return self.value
-        if self.allow_negative_m and 0 < d < self.scale and self.scale % d == 0:
-            q = self.scale // d
-            if q & (q - 1) == 0:  # d == scale / 2**t, t >= 1
-                return self.value
-        return ZERO
+        q, r = divmod(n - self.shift, self._base())  # member iff q == 2**j, j >= 0
+        return self.value if r == 0 and q > 0 and q & (q - 1) == 0 else ZERO
 
     def _points(self) -> Iterator[int]:
-        # d * 2**j + shift for j >= 0, increasing: the support unless value is 0,
-        # with d the odd part of scale when m < 0 is allowed, else scale itself
-        d = self.scale // (self.scale & -self.scale) if self.allow_negative_m else self.scale
+        # increasing: the support unless value is 0
+        d = self._base()
         while True:
             yield d + self.shift
             d *= 2

@@ -840,6 +840,8 @@ CERTIFICATE_ERRORS = {
         {"kind": "split_result", "window": [0, 10],
          "pieces": [ONE_POINT, {"kind": "split_result", "anchor": 4, "values": ["1/1"]}]},
         "finite solution has unknown key 'kind'"),
+    # the walk finds no ':' after a key, and the plain read reports the JSON error
+    "no colon after a key": ('{"kind" "dimension_certificate"}', None),
 }
 
 
@@ -869,6 +871,10 @@ OPERATOR_ERRORS = {
     "no coeffs beside a bad order": ({"order": "x"}, "operator has no key 'coeffs'"),
     "a wrong order": (
         {"order": 3, "coeffs": [CONSTANT_ONE]}, "declared order 3 does not match 1 coefficients"),
+    "no coefficients": ({"coeffs": []}, "an operator needs at least one coefficient"),
+    "per_class a list": (
+        {"coeffs": [{"kind": "residue_poly", "modulus": 2, "per_class": [1]}]},
+        "per_class must be a JSON object, got [1]"),
 }
 
 

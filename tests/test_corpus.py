@@ -101,6 +101,11 @@ def test_vanish_validation():
         vanish_on_multiples_operator(0)
 
 
+def test_geometric_sequence_validation():
+    with pytest.raises(ValueError, match=r"^order must be at least 1$"):
+        geometric_lacunary_sequence(0)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_geometric_sequence_solves_vanish_operator(r):
     op = vanish_on_multiples_operator(r)

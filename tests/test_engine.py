@@ -20,6 +20,7 @@ from lacunary import (
     OperatorSpec,
     PartialLacunarySolution,
     Periodic,
+    VerificationFailure,
     Window,
     build_lacunary,
     certify_dimension,
@@ -353,6 +354,14 @@ def test_build_lacunary_frozen_trace():
     assert all(b > a for a, b in zip(gaps, gaps[1:]))
     assert all(g >= i + 2 for i, g in enumerate(gaps))
     assert verify_partial_lacunary(op, out)
+
+
+def test_build_lacunary_raises_on_a_prefix_its_re_check_rejects(monkeypatch):
+    # the re-check covers the translated blocks and their sum, which no
+    # kernel call checked; a rejected prefix is never returned
+    monkeypatch.setattr(engine_mod, "verify_partial_lacunary", lambda op, partial: False)
+    with pytest.raises(VerificationFailure, match=r"^assembled prefix fails re-verification$"):
+        build_lacunary(vanish_on_multiples_operator(2), 20, 200)
 
 
 def test_build_lacunary_assembled_table():

@@ -14,6 +14,7 @@ import pytest
 
 import lacunary
 from lacunary import jsonio
+from lacunary.sequences import Record
 
 MODULES = ("cli", "corpus", "engine", "jsonio", "linalg", "operators", "sequences")
 
@@ -241,6 +242,34 @@ def test_each_kind_tag_is_written_once():
         for n in strings if isinstance(n, ast.Constant) and isinstance(n.value, str)
     ]
     assert not written
+
+
+# value types built some other way than by Record's binding
+OTHER_VALUE_TYPES = {"NamedTuple", "namedtuple", "dataclass", "dataclasses"}
+
+
+def test_every_value_class_is_a_record_built_by_its_binding():
+    """Every class that declares fields is a Record, no Record subclass has an
+    `__init__` of its own (`__post_init__` checks and normalizes), and no
+    NamedTuple, namedtuple or dataclass is named: a value is built one way."""
+    found = []
+    for module, tree in _library_trees().items():
+        live = importlib.import_module("lacunary" if module == "__init__" else f"lacunary.{module}")
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(live, node.name)
+            if any(isinstance(n, ast.AnnAssign) for n in node.body) and not issubclass(cls, Record):
+                found.append(f"{module}.{node.name} is not a Record")
+            if issubclass(cls, Record) and cls.__init__ is not Record.__init__:
+                found.append(f"{module}.{node.name} defines __init__")
+        for n in ast.walk(tree):
+            names = {getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "module", None)}
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                names |= {a.name for a in n.names}
+            if names & OTHER_VALUE_TYPES:
+                found.append(f"{module}.py:{n.lineno} names {sorted(names & OTHER_VALUE_TYPES)}")
+    assert not found
 
 
 KINDS = {"FiniteTable", "Periodic", "ResiduePolynomial", "GeometricSupport"}

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lacunary import (
     FiniteSolution,
     KernelBasis,
+    VerificationFailure,
     Window,
     WindowTooSmall,
     finite_support_kernel,
@@ -20,6 +21,7 @@ from lacunary.corpus import (
     vanish_on_multiples_operator,
     zero_operator,
 )
+from lacunary import linalg as linalg_mod
 from lacunary.linalg import _nullspace
 
 from .oracles import (
@@ -184,3 +186,26 @@ def test_kernel_basis_validation():
         KernelBasis(Window(0, 2), (FiniteSolution(2, (Fraction(1), Fraction(1))),))
     with pytest.raises(ValueError):
         KernelBasis(Window(0, 2), (FiniteSolution(-1, (Fraction(1),)),))
+
+
+def test_kernel_names_a_vector_the_elimination_got_wrong(monkeypatch):
+    """The kernel's residual re-check is the one check of what elimination
+    returns: a vector tampered to reach 12, a multiple of 3, no longer
+    solves vanish_on_multiples_r2, and is named in a VerificationFailure,
+    which, unlike an assert, `python -O` does not skip."""
+    op = vanish_on_multiples_operator(2)
+    w = Window(10, 40)
+    elimination = linalg_mod._nullspace
+
+    def tampered(rows, ncols):
+        basis = elimination(rows, ncols)
+        i = basis.index((13 - w.lo, (1,)))
+        basis[i] = (12 - w.lo, (1, 1))
+        return basis
+
+    assert finite_support_kernel(op, w).dimension == 21
+    monkeypatch.setattr(linalg_mod, "_nullspace", tampered)
+    with pytest.raises(
+        VerificationFailure, match=r"^kernel vector anchored at 12 fails residual re-verification$"
+    ):
+        finite_support_kernel(op, w)
