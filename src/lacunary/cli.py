@@ -8,9 +8,12 @@ runs over identical inputs produce byte-identical files.  Output streams
 into the --out file or stdout, and a failed write is an error like any
 other.  Every library object's wire format lives in jsonio, certificate
 kinds and the file loaders included, and every certificate check in
-engine; this module dispatches on the engine types and reports, and
-builds only the two reports that hold no library object: the
-{"command": ...} objects of check and verify.
+engine.  main reads each command's inputs, once and in one order: the
+files (--operator first), then --window, then the counts (--k or --gap,
+then --budget), so the first bad one is the one reported.  The handlers
+take values, dispatch on the engine types and report; they build only the
+two reports that hold no library object: the {"command": ...} objects of
+check and verify.
 """
 
 from __future__ import annotations
@@ -69,17 +72,9 @@ def _parse_window(text: str) -> Window:
     return Window(int(parts[0]), int(parts[1]))
 
 
-def _positive(value: int, name: str) -> int:
-    if value < 1:
-        raise UsageError(f"--{name} must be positive, got {value}")
-    return value
-
-
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
-    op = operator_from_json(_load_json(args.operator))
-    seq = sequence_from_json(_load_json(args.sequence))
-    w = _parse_window(args.window)
-    windowed_residual_check(op, seq, w)
+    op, w = args.operator, args.window
+    windowed_residual_check(op, args.sequence, w)
     checked = [w.lo, w.hi - op.order]
     payload = {"command": "check", "ok": True, "window": [w.lo, w.hi], "checked_range": checked}
     count = max(0, checked[1] - checked[0] + 1)
@@ -88,9 +83,8 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_kernel(args) -> tuple[int, dict, list[str]]:
-    op = operator_from_json(_load_json(args.operator))
-    w = _parse_window(args.window)
-    kb = finite_support_kernel(op, w)
+    w = args.window
+    kb = finite_support_kernel(args.operator, w)
     text = [f"kernel dimension {kb.dimension} on window [{w.lo}, {w.hi}]"]
     for fs in kb.solutions:
         text.append(f"  solution with support {sorted(fs.support_set())}")
@@ -108,10 +102,7 @@ def _inconclusive(outcome: Inconclusive) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_certify(args) -> tuple[int, dict, list[str]]:
-    op = operator_from_json(_load_json(args.operator))
-    k = _positive(args.k, "k")
-    budget = _positive(args.budget, "budget")
-    outcome = certify_dimension(op, k, budget)
+    outcome = certify_dimension(args.operator, args.k, args.budget)
     if isinstance(outcome, Inconclusive):
         return _inconclusive(outcome)
     w = outcome.window
@@ -123,10 +114,8 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_split(args) -> tuple[int, dict, list[str]]:
-    op = operator_from_json(_load_json(args.operator))
-    seq = sequence_from_json(_load_json(args.sequence))
-    w = _parse_window(args.window)
-    pieces = split_lacunary(op, seq, w)
+    w = args.window
+    pieces = split_lacunary(args.operator, args.sequence, w)
     if not pieces:
         text = ["no cuts: no piece has enough flanking zeros inside the window"]
     else:
@@ -136,10 +125,7 @@ def _cmd_split(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_build(args) -> tuple[int, dict, list[str]]:
-    op = operator_from_json(_load_json(args.operator))
-    gap = _positive(args.gap, "gap")
-    budget = _positive(args.budget, "budget")
-    outcome = build_lacunary(op, gap, budget)
+    outcome = build_lacunary(args.operator, args.gap, args.budget)
     if isinstance(outcome, Inconclusive):
         return _inconclusive(outcome)
     text = [
@@ -150,8 +136,7 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    op = operator_from_json(_load_json(args.operator))
-    kind, cert = _load_certificate(args.certificate)
+    op, (kind, cert) = args.operator, args.certificate
     # each verifier called by its module-level name, which bench/shim.py rebinds
     if isinstance(cert, PartialLacunarySolution):
         valid = verify_partial_lacunary(op, cert)
@@ -282,6 +267,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         code = EXIT_OK
         if args is not None:
+            # each input read once; the order, files then window then counts, is the
+            # precedence of their error lines
+            if hasattr(args, "operator"):
+                args.operator = operator_from_json(_load_json(args.operator))
+            if hasattr(args, "sequence"):
+                args.sequence = sequence_from_json(_load_json(args.sequence))
+            if hasattr(args, "certificate"):
+                args.certificate = _load_certificate(args.certificate)
+            if hasattr(args, "window"):
+                args.window = _parse_window(args.window)
+            for name in ("k", "gap", "budget"):
+                if getattr(args, name, 1) < 1:
+                    raise UsageError(f"--{name} must be positive, got {getattr(args, name)}")
             code, payload, text_lines = _COMMANDS[args.command][0](args)
             # opened only now, so a failed command leaves no file behind
             out = (

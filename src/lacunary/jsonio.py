@@ -216,18 +216,17 @@ def _per_class(data: Any, modulus: int) -> dict[int, tuple[Fraction, ...]]:
 
 def _decode(tables: dict, pairs: Any) -> Any:
     """The object of `pairs`, its (key, value) pairs as parsed or a dict's
-    items: a FiniteSolution if it is exactly an int anchor and a values list
-    whose table checks, else a dict to be read in full; a repeated key is an
-    error.  A solution of a table already seen calls no Python function.
+    items: a FiniteSolution if it is exactly an int anchor then a values
+    list whose table checks, in the one key order to_json writes, else a
+    dict to be read in full; a repeated key is an error.  A solution of a
+    table already seen calls no Python function.
 
     Each distinct values list is parsed and checked once per `tables`, and
     a failed one is remembered as None.  Only a list of strings gets a table
     (no other JSON value equals a string), so `[true]` never takes `[1]`'s.
     """
-    if len(pairs) == 2:  # keyed "anchor" and "values", in either order, two pairs repeat no key
+    if len(pairs) == 2:  # keyed "anchor" then "values", the order to_json writes
         (key, anchor), (other, raw) = pairs
-        if key == "values":
-            key, anchor, other, raw = other, raw, key, anchor
         if key == "anchor" and other == "values" and type(anchor) is int and type(raw) is list:
             try:
                 values = tables[tuple(raw)]

@@ -20,11 +20,11 @@ from lacunary.corpus import random_residue_operator
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
-def _periodic(period):
+def _periodic(period, entries=small_fractions):
     return st.builds(
         Periodic,
         st.just(period),
-        st.lists(small_fractions, min_size=period, max_size=period).map(tuple),
+        st.lists(entries, min_size=period, max_size=period).map(tuple),
         st.integers(min_value=-3, max_value=3),
     )
 
@@ -120,6 +120,16 @@ periodic_operators = st.integers(min_value=1, max_value=3).flatmap(
         st.one_of(periodics, residue_polys), min_size=r + 1, max_size=r + 1
     ).map(lambda cs: OperatorSpec(tuple(cs)))
 )
+
+
+@st.composite
+def end_nonvanishing_operators(draw):
+    """Periodic coefficients a_0 .. a_r, r from 0 to 4, a_0 or a_r nonzero at every n."""
+    coeffs = draw(st.lists(periodics, min_size=1, max_size=5))
+    period = draw(st.integers(min_value=1, max_value=4))
+    coeffs[draw(st.sampled_from([0, len(coeffs) - 1]))] = draw(_periodic(period, _nonzero))
+    return OperatorSpec(tuple(coeffs))
+
 
 # any coefficient kinds: a period only when every one has one
 spec_operators = st.integers(min_value=1, max_value=3).flatmap(

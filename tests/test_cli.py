@@ -886,6 +886,57 @@ def test_operator_errors_keep_their_reading_order(capsys, tmp_path, data, messag
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+BAD_OPERATOR_LINE = "error: operator has unknown key 'kind'"
+BAD_SEQUENCE_LINE = "error: unknown sequence kind: 'nope'"
+
+# Each command's inputs are read in one order: the files, --operator first,
+# then --window, then --k or --gap, then --budget.  Each row gives two bad
+# inputs and the error line of the one read first.
+READ_ORDER = {
+    "check: operator before sequence": (
+        ("check", "--window", "0:4", "--sequence", "{bad_sequence}",
+         "--operator", "{bad_operator}"),
+        BAD_OPERATOR_LINE),
+    "check: sequence before window": (
+        ("check", "--window", "5:3", "--sequence", "{bad_sequence}", "--operator", "{operator}"),
+        BAD_SEQUENCE_LINE),
+    "kernel: operator before window": (
+        ("kernel", "--window", "5:3", "--operator", "{bad_operator}"), BAD_OPERATOR_LINE),
+    "certify: operator before k": (
+        ("certify", "--k", "0", "--operator", "{bad_operator}"), BAD_OPERATOR_LINE),
+    "certify: k before budget": (
+        ("certify", "--budget", "0", "--k", "0", "--operator", "{operator}"),
+        "usage error: --k must be positive, got 0"),
+    "split: operator before window": (
+        ("split", "--window", "5:3", "--sequence", "{sequence}", "--operator", "{bad_operator}"),
+        BAD_OPERATOR_LINE),
+    "split: sequence before window": (
+        ("split", "--window", "5:3", "--sequence", "{bad_sequence}", "--operator", "{operator}"),
+        BAD_SEQUENCE_LINE),
+    "build: operator before gap": (
+        ("build", "--gap", "0", "--operator", "{bad_operator}"), BAD_OPERATOR_LINE),
+    "build: gap before budget": (
+        ("build", "--budget", "0", "--gap", "0", "--operator", "{operator}"),
+        "usage error: --gap must be positive, got 0"),
+    "verify: operator before certificate": (
+        ("verify", "--certificate", "{bad_certificate}", "--operator", "{bad_operator}"),
+        BAD_OPERATOR_LINE),
+}
+
+
+@pytest.mark.parametrize("argv, line", READ_ORDER.values(), ids=list(READ_ORDER))
+def test_each_command_reports_the_first_bad_input_it_reads(
+    capsys, tmp_path, vanish_r2, geometric_r2, argv, line,
+):
+    files = {"operator": vanish_r2, "sequence": geometric_r2}
+    for name, data in [("bad_operator", {"kind": "x", "coeffs": []}),
+                       ("bad_sequence", {"kind": "nope"}), ("bad_certificate", {"kind": "nope"})]:
+        files[name] = str(tmp_path / f"{name}.json")
+        write_canonical(files[name], data)
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 # a command that reads the file each flag names
 FILE_FLAGS = {
     "--operator": ("kernel", "--window", "0:4"),

@@ -88,6 +88,27 @@ def test_inputs_are_read_through_jsonio(path):
     assert not PARSED_TREE.findall(path.read_text(encoding="utf-8"))
 
 
+# what turns a command-line argument's text into its value
+ARGUMENT_READERS = {
+    "_load_json", "_load_certificate", "operator_from_json", "sequence_from_json", "_parse_window",
+}
+
+
+def test_cli_handlers_take_values_not_argument_text():
+    """main reads every input, once and in one order, so no `_cmd_*` handler
+    calls a reader of its own and each error keeps its precedence."""
+    tree = ast.parse(Path(lacunary.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    handlers = [n for n in tree.body if getattr(n, "name", "").startswith("_cmd_")]
+    assert len(handlers) == 7
+    reads = [
+        f"{handler.name} calls {name}:{node.lineno}"
+        for handler in handlers for node in ast.walk(handler) if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if name in ARGUMENT_READERS
+    ]
+    assert not reads
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 

@@ -681,6 +681,30 @@ def test_equal_tables_read_alike_whatever_their_spelling(tmp_path, capsys, kind)
     assert (code, json.loads(out)["valid"], err) == (0, True, "")
 
 
+SOLUTION_LIST_KEYS = {"dimension_certificate": "solutions", "split_result": "pieces",
+                      "partial_lacunary": "blocks"}
+
+
+@pytest.mark.parametrize("swapped", [{0, 1, 2}, {1}], ids=["all", "the 2nd"])
+@pytest.mark.parametrize("kind", SOLUTION_LIST_KINDS)
+def test_a_solution_written_values_first_reads_as_the_canonical_one(
+    tmp_path, capsys, kind, swapped,
+):
+    # the loader decodes a solution only in the order to_json writes, anchor
+    # then values; one written the other way is read in full, to the same value
+    data = _with_solutions(kind, [["1/1"], ["1/1"], ["2/1"]])
+    key = SOLUTION_LIST_KEYS[kind]
+    other = {**data, key: [
+        {"values": s["values"], "anchor": s["anchor"]} if i in swapped else s
+        for i, s in enumerate(data[key])
+    ]}
+    text = json.dumps(other)
+    assert text.count('{"values"') == len(swapped)
+    assert load_text(text) == load_text(json.dumps(data)) == certificate_from_json(data)
+    code, out, err = _verify(tmp_path, capsys, other)
+    assert (code, json.loads(out)["valid"], err) == (0, True, "")
+
+
 def test_reading_parses_each_distinct_table_once(monkeypatch):
     calls = []
 

@@ -33,7 +33,12 @@ from .oracles import (
     support_confined_nullity,
     support_confined_system,
 )
-from .strategies import band_systems, residue_operators, small_matrices
+from .strategies import (
+    band_systems,
+    end_nonvanishing_operators,
+    residue_operators,
+    small_matrices,
+)
 
 
 def frac_matrix(rows):
@@ -173,6 +178,15 @@ def test_free_kernel_dim_matches_free_boundary_oracle(op, lo, length):
         return
     rank, _ = naive_rank_nullspace(free_boundary_system(op, lo, hi), length + 1)
     assert free_kernel_dim(op, Window(lo, hi)) == length + 1 - rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(end_nonvanishing_operators(), st.integers(min_value=-10, max_value=10))
+def test_free_kernel_dim_is_the_order_when_an_end_coefficient_vanishes_nowhere(op, lo):
+    # each of the size - r equations fixes x(n) by a_0(n), or x(n + r) by a_r(n),
+    # from the r free values at one end of the window
+    for length in range(op.order, op.order + 12):
+        assert free_kernel_dim(op, Window(lo, lo + length)) == op.order, length
 
 
 def test_free_kernel_order_zero():
