@@ -69,7 +69,10 @@ def _parse_window(text: str) -> Window:
         raise UsageError(f"window must be LO:HI, got {text!r}")
     if not all(map(_INTEGER.fullmatch, parts)):
         raise UsageError(f"window bounds must be integers, got {text!r}")
-    return Window(int(parts[0]), int(parts[1]))
+    try:
+        return Window(int(parts[0]), int(parts[1]))
+    except ValueError as exc:  # an empty window: Window says so
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_check(args) -> tuple[int, dict, list[str]]:

@@ -298,11 +298,9 @@ def _record_from_json(cls: type, data: dict, what: str) -> Any:
     _only_keys(data, ("kind", *cls._fields) if cls in _KINDS else cls._fields, what)
     fields: dict[str, Any] = {}
     for name in cls._fields:
-        if name in data:
+        if name in data or name not in cls._defaults:
             arg = fields["modulus"] if name == "per_class" else name
-            fields[name] = _FIELDS[name](data[name], arg)
-        elif name not in cls._defaults:
-            raise ValueError(f"{what} has no key {name!r}")
+            fields[name] = _FIELDS[name](_key(data, name, what), arg)
     return cls(**fields)
 
 

@@ -41,7 +41,6 @@ from .sequences import Record, Window
 __all__ = [
     "KernelBasis",
     "VerificationFailure",
-    "WindowTooSmall",
     "finite_support_kernel",
     "free_kernel_dim",
 ]
@@ -52,10 +51,6 @@ class VerificationFailure(Exception):
 
     This signals an internal elimination bug; it must never be swallowed.
     """
-
-
-class WindowTooSmall(Exception):
-    """The window cannot hold a single full equation of the operator."""
 
 
 def _normalize(values: list[Fraction]) -> tuple[int, ...]:
@@ -172,11 +167,10 @@ def finite_support_kernel(op: OperatorSpec, w: Window) -> KernelBasis:
 
 
 def free_kernel_dim(op: OperatorSpec, w: Window) -> int:
-    """Dimension of window solutions with no constraint outside the window."""
-    if w.hi - w.lo < op.order:
-        raise WindowTooSmall(
-            f"window [{w.lo}, {w.hi}] is shorter than operator order {op.order}"
-        )
-    # the unclipped rows are the equations n in [w.lo, w.hi - r]
-    full = [row for row in window_matrix(op, w) if len(row[1]) == op.order + 1]
-    return w.size - len(_eliminate(full, w.size))
+    """Dimension of window solutions with no constraint outside the window.
+
+    The free-boundary rows are the equations n in [w.lo, w.hi - r], rows
+    r to w.size - 1 of `window_matrix`.  A window of at most r indices
+    holds no such equation, so all its w.size values are free.
+    """
+    return w.size - len(_eliminate(window_matrix(op, w)[op.order : w.size], w.size))

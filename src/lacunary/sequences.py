@@ -141,7 +141,7 @@ class Window(Record):
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+        if not (type(self.lo) is int and type(self.hi) is int):  # a bool is not a bound
             raise TypeError("window bounds must be integers")
         if self.lo > self.hi:
             raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")

@@ -842,6 +842,8 @@ CERTIFICATE_ERRORS = {
         "finite solution has unknown key 'kind'"),
     # the walk finds no ':' after a key, and the plain read reports the JSON error
     "no colon after a key": ('{"kind" "dimension_certificate"}', None),
+    "a number as the solutions": (
+        {"kind": "dimension_certificate", "k": 1, "window": [0, 30], "solutions": 5}, None),
 }
 
 
@@ -888,10 +890,11 @@ def test_operator_errors_keep_their_reading_order(capsys, tmp_path, data, messag
 
 BAD_OPERATOR_LINE = "error: operator has unknown key 'kind'"
 BAD_SEQUENCE_LINE = "error: unknown sequence kind: 'nope'"
+EMPTY_WINDOW_LINE = "usage error: empty window: lo=5 > hi=3"
 
 # Each command's inputs are read in one order: the files, --operator first,
 # then --window, then --k or --gap, then --budget.  Each row gives two bad
-# inputs and the error line of the one read first.
+# inputs and the error line of the one read first, or one bad input and its line.
 READ_ORDER = {
     "check: operator before sequence": (
         ("check", "--window", "0:4", "--sequence", "{bad_sequence}",
@@ -900,8 +903,13 @@ READ_ORDER = {
     "check: sequence before window": (
         ("check", "--window", "5:3", "--sequence", "{bad_sequence}", "--operator", "{operator}"),
         BAD_SEQUENCE_LINE),
+    "check: an empty window": (
+        ("check", "--window", "5:3", "--sequence", "{sequence}", "--operator", "{operator}"),
+        EMPTY_WINDOW_LINE),
     "kernel: operator before window": (
         ("kernel", "--window", "5:3", "--operator", "{bad_operator}"), BAD_OPERATOR_LINE),
+    "kernel: an empty window": (
+        ("kernel", "--window", "5:3", "--operator", "{operator}"), EMPTY_WINDOW_LINE),
     "certify: operator before k": (
         ("certify", "--k", "0", "--operator", "{bad_operator}"), BAD_OPERATOR_LINE),
     "certify: k before budget": (

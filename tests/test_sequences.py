@@ -110,6 +110,13 @@ def test_window_validation():
     assert list(w.indices()) == [-2, -1, 0, 1, 2]
 
 
+def test_window_bounds_are_ints_not_bools():
+    # a bool bound would be written as false/true, which no reader takes back
+    for lo, hi in ((True, 2), (0, False)):
+        with pytest.raises(TypeError, match="window bounds must be integers"):
+            Window(lo, hi)
+
+
 def test_as_fraction_coercions():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction(Fraction(5, 7)) == Fraction(5, 7)
