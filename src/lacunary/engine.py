@@ -287,14 +287,13 @@ def _first_blocks(
         return ()
     width = op.order + 1
     period = op.period
-    translate = FiniteSolution._trusted  # a verified table, not checked again
     while True:
         lo, hi = sorted((edge, max(-budget, min(edge + d * (width - 1), budget))))
         shift = lo - lo % period if period else 0
         key = (lo - shift, hi - lo)
         if key not in solved:
             solved[key] = finite_support_kernel(op, Window(lo - shift, hi - shift)).solutions
-        solutions = tuple(translate(s.anchor + shift, s.values) for s in solved[key])
+        solutions = tuple(FiniteSolution(s.anchor + shift, s.values) for s in solved[key])
         if hi - lo + 1 < width or (solutions and not widen):
             return solutions
         widen = widen and not solutions  # widen once past the first hit

@@ -238,7 +238,7 @@ def _decode(tables: dict, pairs: Any) -> Any:
                     with suppress(ValueError):
                         values = FiniteSolution(0, map(parse_rational, raw)).values
                 tables[tuple(raw)] = values
-            if values is not None:  # FiniteSolution._trusted, without its call
+            if values is not None:  # no call per solution: the one build past the binding
                 solution = object.__new__(FiniteSolution)
                 _set(solution, "anchor", anchor)
                 _set(solution, "values", values)
@@ -331,8 +331,8 @@ def operator_from_json(data: Any) -> OperatorSpec:
     return op
 
 
-def _trimmed(vec: Any) -> tuple[int, Optional[FiniteSolution]]:
-    # a dense kernel vector's length and its nonzero span, anchored at its offset; None if zero
+def _trimmed(vec: Any) -> tuple[int, Optional[tuple[int, tuple[Fraction, ...]]]]:
+    # a dense kernel vector's length and its nonzero span as (offset, values); None if zero
     if not isinstance(vec, list):
         raise ValueError(f"vector must be a list, got {vec!r}")
     if set(map(type, vec)) <= {str}:
@@ -345,7 +345,7 @@ def _trimmed(vec: Any) -> tuple[int, Optional[FiniteSolution]]:
     if True not in nonzero:
         return len(vec), None
     lo, hi = nonzero.index(True), len(vec) - indexOf(reversed(nonzero), True)
-    return len(vec), FiniteSolution(lo, map(parsed.__getitem__, vec[lo:hi]))
+    return len(vec), (lo, tuple(map(parsed.__getitem__, vec[lo:hi])))
 
 
 def _kernel_basis_from_json(data: dict) -> KernelBasis:
@@ -355,12 +355,12 @@ def _kernel_basis_from_json(data: dict) -> KernelBasis:
     def solution(vec: Any) -> FiniteSolution:
         # _load_certificate trims each vector as it parses it ("vectors" sorts
         # before "window"); parsed JSON holds no tuple
-        size, trimmed = vec if type(vec) is tuple else _trimmed(vec)
+        size, span = vec if type(vec) is tuple else _trimmed(vec)
         if size != w.size:
             raise ValueError(f"kernel vector has {size} entries, window has {w.size}")
-        if trimmed is None:
+        if span is None:
             raise ValueError("zero vector in kernel basis")
-        return FiniteSolution._trusted(w.lo + trimmed.anchor, trimmed.values)
+        return FiniteSolution(w.lo + span[0], span[1])
 
     return KernelBasis(w, _list(_key(data, "vectors", "kernel_basis"), "vectors", solution))
 

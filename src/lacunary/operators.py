@@ -81,8 +81,8 @@ class FiniteSolution(Record):
     are read off directly and equal sequences are structurally equal.  The
     identically zero sequence is not a FiniteSolution.  The constructor
     takes any iterable of ints and Fractions and stores a tuple of
-    Fractions; `_trusted` builds one, checking nothing, on a table an
-    earlier constructor call checked.
+    Fractions.  Only the certificate decoder, `jsonio._decode`, skips it;
+    tests/test_exports.py fails on a second `__new__`.
     Its fields live in slots, not an instance dict: one is built per
     solution a certificate holds, and a slotted one takes 48 bytes, not 88.
     """
@@ -99,13 +99,6 @@ class FiniteSolution(Record):
         if not (values[0] and values[-1]):
             raise ValueError("value table must be trimmed to its support")
         _set(self, "values", values)
-
-    @classmethod
-    def _trusted(cls, anchor: int, values: tuple[Fraction, ...]) -> "FiniteSolution":
-        self = object.__new__(cls)
-        _set(self, "anchor", anchor)
-        _set(self, "values", values)
-        return self
 
     @property
     def min_support(self) -> int:

@@ -76,8 +76,8 @@ class Record:
     A class attribute named like a field is its default.  After binding the
     arguments, ``__post_init__`` may check the fields and normalize one with
     ``object.__setattr__``.  No subclass defines its own ``__init__``: every
-    Record is built by this one binding, or, for a `FiniteSolution` whose
-    table was already checked, by `_trusted`.  Equality, hashing, ``repr``
+    Record is built by this one binding; only `jsonio._decode` skips it, and
+    tests/test_exports.py fails on a second.  Equality, hashing, ``repr``
     and frozenness come from the fields.  Record itself has no
     instance dict, so a subclass that names its fields in ``__slots__``
     has none either.

@@ -293,6 +293,38 @@ def test_every_value_class_is_a_record_built_by_its_binding():
     assert not found
 
 
+def test_only_the_certificate_decoder_builds_past_the_binding():
+    """`__new__` builds an object without its `__init__`, so a Record built
+    that way skips `__post_init__`'s checks.  Only `jsonio._decode` may: it
+    runs no Python call per solution of a certificate file, and the binding
+    would be one."""
+    trees = _library_trees()
+    found = [
+        (module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if "__new__" in {getattr(node, key, None) for key in ("attr", "id", "name")}
+    ]
+    decode = next(f for f in trees["jsonio"].body if getattr(f, "name", None) == "_decode")
+    assert [(m, decode.lineno <= line <= decode.end_lineno) for m, line in found] == [
+        ("jsonio", True)
+    ], found
+
+
+REQUIRES_PYTHON = re.search(
+    r'^requires-python = ">=(\d+)\.(\d+)"$',
+    (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"),
+    re.MULTILINE,
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_sources_parse_at_the_declared_python_floor(path):
+    # the tests run on one interpreter, which also accepts syntax newer than the floor
+    floor = tuple(map(int, REQUIRES_PYTHON.groups()))
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+
+
 KINDS = {"FiniteTable", "Periodic", "ResiduePolynomial", "GeometricSupport"}
 KIND_FIELDS = {"scale", "shift", "allow_negative_m", "per_class"}
 

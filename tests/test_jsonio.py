@@ -90,7 +90,7 @@ def test_parse_rational():
             parse_rational(text)
 
 
-def test_parse_rational_cache_keeps_every_rejection():
+def test_parse_rational_rejects_a_bad_input_each_time_it_is_given():
     assert parse_rational(1) == 1
     with pytest.raises(ValueError):
         parse_rational(True)
@@ -104,7 +104,7 @@ def test_parse_rational_cache_keeps_every_rejection():
             parse_rational(" 1/2")
 
 
-def test_parse_rational_cache_past_its_bound():
+def test_parse_rational_reads_many_texts_twice_as_their_fractions():
     texts = [f"{p}/{q}" for p in range(-60, 61) for q in range(1, 21)]
     for _ in range(2):
         for text in texts:
@@ -517,6 +517,27 @@ def test_certificate_loader_trims_kernel_vectors_without_a_second_read(tmp_path,
     for piece in PIECES:
         assert [load_text(text, piece) for text in texts] == expected
     assert [len(cert.solutions) for _, cert in expected] == [200, 200, 200, 0]
+
+
+def test_reading_a_dense_kernel_basis_builds_each_solution_once(tmp_path, monkeypatch):
+    """One FiniteSolution.__init__ per vector of the consume workload's basis,
+    read from its file or from its parsed JSON: a vector is trimmed to its
+    span, which the reader builds into the one solution."""
+    text = unit_basis_text(indent=2, sort_keys=True)
+    path = tmp_path / "kernel_basis.json"
+    path.write_text(text)
+    built, init = [], FiniteSolution.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteSolution, "__init__", counted)
+    for read in (lambda: jsonio._load_certificate(str(path)),
+                 lambda: certificate_from_json(json.loads(text))):
+        built.clear()
+        kind, basis = read()
+        assert kind == "kernel_basis" and len(built) == len(basis.solutions) == 200
 
 
 def test_loading_and_verifying_a_dense_kernel_basis_costs_about_its_text(tmp_path):

@@ -27,6 +27,7 @@ from lacunary import (
     window_matrix,
 )
 from lacunary import engine as engine_mod
+from lacunary import jsonio
 from lacunary import linalg as linalg_mod
 from lacunary import operators as operators_mod
 from lacunary.corpus import (
@@ -214,7 +215,11 @@ def test_finite_solution_is_slotted_and_still_frozen():
     assert not hasattr(x, "__dict__")
     with pytest.raises(AttributeError):
         object.__setattr__(x, "extra", 1)  # no dict to hold it
-    assert x == FiniteSolution._trusted(2, x.values) and hash(x) == hash((2, x.values))
+    assert hash(x) == hash((2, x.values))
+    # the certificate decoder's build, the one past the binding, is the same value
+    decoded = jsonio._decode({}, [("anchor", 2), ("values", ["1/1", "0/1", "3/4"])])
+    assert type(decoded) is FiniteSolution and decoded == x and hash(decoded) == hash(x)
+    assert not hasattr(decoded, "__dict__")
     # the slot descriptors are not defaults; the Records with defaults keep theirs
     assert FiniteSolution._defaults == {}
     assert Inconclusive._defaults == {"best_kernel_dim": None, "best_gap": None}
